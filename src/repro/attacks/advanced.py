@@ -14,7 +14,8 @@ is exactly the locality-based attack (the paper's VM results).
 
 from __future__ import annotations
 
-from repro.attacks.frequency import INSERTION, ChunkStats, sized_freq_analysis
+from repro.attacks.frequency import INSERTION
+from repro.attacks.interning import ChunkIdStats
 from repro.attacks.locality import LocalityAttack
 
 
@@ -34,50 +35,8 @@ class AdvancedLocalityAttack(LocalityAttack):
         super().__init__(u=u, v=v, w=w, tie_break=tie_break)
         self.block_size = block_size
 
-    def _analyse(
-        self,
-        ciphertext_table: dict[bytes, int],
-        plaintext_table: dict[bytes, int],
-        limit: int,
-        ciphertext_stats: ChunkStats,
-        plaintext_stats: ChunkStats,
-    ) -> list[tuple[bytes, bytes]]:
-        return sized_freq_analysis(
-            ciphertext_table,
-            plaintext_table,
-            ciphertext_stats.sizes,
-            plaintext_stats.sizes,
-            limit,
-            self.block_size,
-            self.tie_break,
-        )
-
-    def _seed_analyse(
-        self,
-        ciphertext_stats: ChunkStats,
-        plaintext_stats: ChunkStats,
-    ) -> list[tuple[bytes, bytes]]:
-        # Algorithm 3 also size-classifies the seeding analysis (the paper
-        # modifies the FREQ-ANALYSIS called at Algorithm 2's line 5): the u
-        # top-frequency pairs are taken per block-count class.
-        if hasattr(ciphertext_stats, "class_tops") and hasattr(
-            plaintext_stats, "class_tops"
-        ):
-            from repro.attacks.sharded import sized_seed_pairs
-
-            return sized_seed_pairs(
-                ciphertext_stats,
-                plaintext_stats,
-                self.u,
-                self.block_size,
-                self.seed_tie_break,
-            )
-        return sized_freq_analysis(
-            ciphertext_stats.frequencies,
-            plaintext_stats.frequencies,
-            ciphertext_stats.sizes,
-            plaintext_stats.sizes,
-            self.u,
-            self.block_size,
-            self.seed_tie_break,
-        )
+    def _size_classes(self, stats: ChunkIdStats, is_plaintext: bool):
+        # Algorithm 3 size-classifies every FREQ-ANALYSIS, the seeding one
+        # at Algorithm 2's line 5 included: pairs form only within a
+        # cipher-block-count class.
+        return stats.block_classes(self.block_size, is_plaintext)

@@ -19,11 +19,18 @@ from repro.datasets.model import Backup
 @dataclass
 class AttackResult:
     """The inferred set ``T``: ciphertext fingerprint → inferred plaintext
-    fingerprint, plus bookkeeping about the run."""
+    fingerprint, plus bookkeeping about the run.
+
+    ``chunk_ids`` is ``T`` before decoding, for the attacks that run over
+    interned chunk ids: ciphertext-stats id → plaintext-stats id in the
+    same order as ``pairs``, with fingerprints outside a side's
+    vocabulary (leaked pairs only) as negative ids.
+    """
 
     pairs: dict[bytes, bytes] = field(default_factory=dict)
     attack_name: str = ""
     iterations: int = 0
+    chunk_ids: dict[int, int] = field(default_factory=dict, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.pairs)

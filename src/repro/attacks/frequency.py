@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from heapq import nlargest, nsmallest
 
 from repro.datasets.model import Backup
 
@@ -123,7 +124,7 @@ def count_with_neighbors(backup: Backup) -> ChunkStats:
 
 INSERTION = "insertion"
 FINGERPRINT = "fingerprint"
-_TIE_BREAKS = (INSERTION, FINGERPRINT)
+TIE_BREAKS = (INSERTION, FINGERPRINT)
 
 
 def rank_by_frequency(
@@ -141,7 +142,7 @@ def rank_by_frequency(
         return sorted(table, key=lambda fp: -table[fp])
     if tie_break == FINGERPRINT:
         return sorted(table, key=lambda fp: (-table[fp], fp))
-    raise ValueError(f"unknown tie_break {tie_break!r}; use one of {_TIE_BREAKS}")
+    raise ValueError(f"unknown tie_break {tie_break!r}; use one of {TIE_BREAKS}")
 
 
 def freq_analysis(
@@ -224,4 +225,78 @@ def sized_freq_analysis(
                 ciphertext_classes[blocks], plaintext_bucket, limit, tie_break
             )
         )
+    return pairs
+
+
+# ---------------------------------------------------------------------------
+# FREQ-ANALYSIS over interned chunk ids (what the locality attacks run)
+
+
+def _top_ids(ids, counts, limit, tie_break, fingerprints):
+    """The ``limit`` most frequent ids of one table, ranked exactly like
+    :func:`rank_by_frequency` over the decoded table."""
+    if len(ids) == 1:
+        return [ids[0]]
+    if limit is None:
+        limit = len(ids)
+    if tie_break == INSERTION:
+        # nlargest is sorted(..., reverse=True)[:limit], which is stable.
+        order = nlargest(limit, range(len(ids)), key=counts.__getitem__)
+    else:
+        order = nsmallest(
+            limit,
+            range(len(ids)),
+            key=lambda index: (-counts[index], fingerprints[ids[index]]),
+        )
+    return [ids[index] for index in order]
+
+
+def rank_tops(
+    ids,
+    counts,
+    limit: int | None,
+    tie_break: str = INSERTION,
+    classes=None,
+    fingerprints=None,
+) -> dict:
+    """The ranking half of FREQ-ANALYSIS over an id-keyed table.
+
+    ``ids``/``counts`` are one frequency (or co-occurrence) table in
+    first-occurrence order. Returns ``{class: top ids}``: the ``limit``
+    most frequent ids of each class, where ``classes[id]`` is an id's
+    cipher-block-count class (Algorithm 3's CLASSIFY), or one ``None``
+    class when ``classes`` is ``None``. ``fingerprints[id]`` decodes an
+    id; only the ``fingerprint`` tie-break reads it. Empty tables rank
+    to ``{}``.
+    """
+    if not len(ids):
+        return {}
+    if classes is None:
+        return {None: _top_ids(ids, counts, limit, tie_break, fingerprints)}
+    if len(ids) == 1:
+        return {classes[ids[0]]: [ids[0]]}
+    buckets: dict = {}
+    for chunk_id, count in zip(ids, counts):
+        block = classes[chunk_id]
+        bucket = buckets.get(block)
+        if bucket is None:
+            bucket = buckets[block] = ([], [])
+        bucket[0].append(chunk_id)
+        bucket[1].append(count)
+    return {
+        block: _top_ids(bucket_ids, bucket_counts, limit, tie_break, fingerprints)
+        for block, (bucket_ids, bucket_counts) in buckets.items()
+    }
+
+
+def pair_tops(ciphertext_tops: dict, plaintext_tops: dict) -> list[tuple]:
+    """The pairing half of FREQ-ANALYSIS: rank ``i`` of each ciphertext
+    class pairs with rank ``i`` of the same plaintext class, classes in
+    ascending order — :func:`freq_analysis` (one class) and
+    :func:`sized_freq_analysis` over :func:`rank_tops` output."""
+    pairs: list[tuple] = []
+    for block in sorted(ciphertext_tops):
+        plaintext_top = plaintext_tops.get(block)
+        if plaintext_top:
+            pairs.extend(zip(ciphertext_tops[block], plaintext_top))
     return pairs

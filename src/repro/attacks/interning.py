@@ -20,34 +20,38 @@ primitives only — no per-chunk Python bytecode:
   over ``(previous_id, current_id)`` pairs from ``zip(ids, ids[1:])``,
   from which both directed tables are regrouped on demand.
 
-Decoding back to fingerprint bytes happens only at the rank/report
-boundary: :class:`InternedChunkStats` exposes the same
-``frequencies``/``left``/``right``/``sizes`` mapping interface as
-:class:`~repro.attacks.frequency.ChunkStats` through lazy views, so the
-locality/advanced attacks and FREQ-ANALYSIS run unchanged — and, because
-every dict the views materialize preserves first-occurrence order, with
-byte-identical output (pinned by the equivalence property tests against
-``count_with_neighbors`` and ``StreamingCount``).
+The locality/advanced attacks never decode: they run over the id-level
+surface of :class:`ChunkIdStats` (first-occurrence-ordered id tables,
+per-id neighbor segments, id → size class), and fingerprint-keyed stats
+reach that surface through :func:`as_chunk_id_stats`'s interning
+adapter. :class:`InternedChunkStats` and :class:`InternedArrayStats` also
+expose the same ``frequencies``/``left``/``right``/``sizes`` mapping
+interface as :class:`~repro.attacks.frequency.ChunkStats` through lazy
+views — byte-identical, first-occurrence order included, to
+``count_with_neighbors`` and ``StreamingCount`` (pinned by the
+equivalence property tests).
 """
 
 from __future__ import annotations
 
 import gc
-from bisect import bisect_left, bisect_right
 from collections import Counter
 from contextlib import contextmanager
 from itertools import chain
 
+from repro.attacks.frequency import rank_tops
 from repro.common import accel
 from repro.common.errors import ConfigurationError
 from repro.datasets.model import Backup
 
 __all__ = [
+    "ChunkIdStats",
     "ChunkVocabulary",
     "InternedArrayStats",
     "InternedChunkStats",
     "InternedCount",
     "MAX_VOCABULARY",
+    "as_chunk_id_stats",
     "check_vocabulary_capacity",
     "interned_count",
 ]
@@ -61,6 +65,9 @@ __all__ = [
 PAIR_SHIFT = 32
 _PAIR_MASK = (1 << PAIR_SHIFT) - 1
 MAX_VOCABULARY = 1 << PAIR_SHIFT
+
+#: A chunk with no neighbors on one side: empty ids, empty counts.
+_NO_SEGMENT: tuple = ((), ())
 
 
 def check_vocabulary_capacity(size: int, source: str = "chunk vocabulary") -> None:
@@ -226,6 +233,13 @@ class _NeighborView:
         self._decoded[fingerprint] = decoded
         return decoded
 
+    def segment(self, chunk_id: int) -> tuple:
+        """``chunk_id``'s neighbor ids and counts, first-occurrence order."""
+        table = self._tables.get(chunk_id)
+        if not table:
+            return _NO_SEGMENT
+        return list(table), list(table.values())
+
     def get(
         self, fingerprint: bytes, default: dict[bytes, int] | None = None
     ) -> dict[bytes, int] | None:
@@ -270,7 +284,44 @@ class _NeighborView:
             yield fingerprint, decoded
 
 
-class InternedChunkStats:
+class ChunkIdStats:
+    """The id-level surface the locality attacks' loop runs over.
+
+    Chunk ids index ``vocabulary`` (``vocabulary._fingerprints[id]``
+    decodes one, ``vocabulary._ids.get(fp)`` looks one up);
+    ``left``/``right`` answer ``segment(id) -> (neighbor ids, counts)`` in
+    first-occurrence order. Subclasses provide :meth:`id_table`,
+    :meth:`has_id` and :meth:`block_classes`; :meth:`top_ids` ranks the
+    id table (trace-scale stats override it with a vectorized ranking).
+    """
+
+    vocabulary: ChunkVocabulary
+
+    def id_table(self) -> tuple:
+        """Every chunk id of the stream and its frequency, as two
+        parallel sequences in first-occurrence order."""
+        raise NotImplementedError
+
+    def has_id(self, chunk_id: int) -> bool:
+        """Whether ``chunk_id`` occurs in the counted stream."""
+        raise NotImplementedError
+
+    def block_classes(self, block_size: int, is_plaintext: bool):
+        """Chunk id → cipher-block-count class of its first-occurrence
+        size, as :func:`~repro.attacks.frequency.classify_by_blocks`
+        computes it, indexable by every id of the stream."""
+        raise NotImplementedError
+
+    def top_ids(self, limit: int | None, tie_break: str, classes=None) -> dict:
+        """The global FREQ-ANALYSIS ranking:
+        :func:`~repro.attacks.frequency.rank_tops` over :meth:`id_table`."""
+        ids, counts = self.id_table()
+        return rank_tops(
+            ids, counts, limit, tie_break, classes, self.vocabulary._fingerprints
+        )
+
+
+class InternedChunkStats(ChunkIdStats):
     """COUNT output over interned ids, presenting the
     :class:`~repro.attacks.frequency.ChunkStats` mapping interface.
 
@@ -299,6 +350,20 @@ class InternedChunkStats:
     @property
     def unique_chunks(self) -> int:
         return len(self._frequency_counts)
+
+    def id_table(self) -> tuple:
+        counts = self._frequency_counts
+        return list(counts), list(counts.values())
+
+    def has_id(self, chunk_id: int) -> bool:
+        return chunk_id in self._frequency_counts
+
+    def block_classes(self, block_size: int, is_plaintext: bool) -> dict:
+        extra = 1 if is_plaintext else 0
+        return {
+            chunk_id: size // block_size + extra
+            for chunk_id, size in self._size_by_id.items()
+        }
 
     @property
     def frequencies(self) -> dict[bytes, int]:
@@ -487,9 +552,11 @@ class _ArrayNeighborView:
     """Lazy ``fingerprint -> {neighbor fingerprint: count}`` mapping over
     segment-sorted flat arrays (the numpy single-pass layout).
 
-    ``keys`` is an ascending list with equal keys contiguous; a probe
-    bisects to its segment and decodes only that slice of the parallel
-    ``neighbors``/``counts`` arrays (cached per fingerprint). The
+    ``neighbors``/``counts`` are grouped by owning id, each group keeping
+    first-occurrence order, and ``starts[id]:starts[id + 1]`` bounds the
+    owner ``id``'s segment (``starts`` has one entry per vocabulary id plus
+    one). :meth:`segment` slices it for the id-space attack loop; a
+    fingerprint probe decodes the slice (cached per fingerprint). The
     first-occurrence iteration order the reference COUNT would have is
     recovered lazily from ``ordered_keys`` (owning ids in pair
     first-occurrence order) only when something iterates the view.
@@ -497,7 +564,7 @@ class _ArrayNeighborView:
 
     __slots__ = (
         "_vocabulary",
-        "_keys",
+        "_starts",
         "_neighbors",
         "_counts",
         "_ordered_keys",
@@ -505,38 +572,37 @@ class _ArrayNeighborView:
         "_decoded",
     )
 
-    def __init__(
-        self,
-        vocabulary: ChunkVocabulary,
-        keys: list[int],
-        neighbors,
-        counts,
-        ordered_keys,
-    ):
+    def __init__(self, vocabulary, starts, neighbors, counts, ordered_keys):
         self._vocabulary = vocabulary
-        self._keys = keys
+        self._starts = starts
         self._neighbors = neighbors
         self._counts = counts
         self._ordered_keys = ordered_keys
         self._outer_keys: list[int] | None = None
         self._decoded: dict[bytes, dict[bytes, int]] = {}
 
-    def _decode_segment(self, fingerprint: bytes, chunk_id: int) -> dict[bytes, int] | None:
-        keys = self._keys
-        low = bisect_left(keys, chunk_id)
-        if low == len(keys) or keys[low] != chunk_id:
-            return None
-        high = bisect_right(keys, chunk_id, low)
-        fingerprints = self._vocabulary._fingerprints
-        decoded = dict(
-            zip(
-                map(
-                    fingerprints.__getitem__,
-                    self._neighbors[low:high].tolist(),
-                ),
-                self._counts[low:high].tolist(),
-            )
+    def _bounds(self, chunk_id: int) -> tuple[int, int]:
+        starts = self._starts
+        if chunk_id + 1 >= len(starts):
+            return 0, 0
+        return starts[chunk_id], starts[chunk_id + 1]
+
+    def segment(self, chunk_id: int) -> tuple:
+        """``chunk_id``'s neighbor ids and counts, first-occurrence order."""
+        low, high = self._bounds(chunk_id)
+        if low == high:
+            return _NO_SEGMENT
+        return (
+            self._neighbors[low:high].tolist(),
+            self._counts[low:high].tolist(),
         )
+
+    def _decode_segment(self, fingerprint: bytes, chunk_id: int) -> dict[bytes, int] | None:
+        neighbors, counts = self.segment(chunk_id)
+        if not neighbors:
+            return None
+        fingerprints = self._vocabulary._fingerprints
+        decoded = dict(zip(map(fingerprints.__getitem__, neighbors), counts))
         self._decoded[fingerprint] = decoded
         return decoded
 
@@ -571,9 +637,8 @@ class _ArrayNeighborView:
         chunk_id = self._vocabulary._ids.get(fingerprint)
         if chunk_id is None:
             return False
-        keys = self._keys
-        low = bisect_left(keys, chunk_id)
-        return low < len(keys) and keys[low] == chunk_id
+        low, high = self._bounds(chunk_id)
+        return low != high
 
     def __len__(self) -> int:
         return len(self._outer())
@@ -596,7 +661,7 @@ class _ArrayNeighborView:
             yield fingerprint, decoded
 
 
-class InternedArrayStats:
+class InternedArrayStats(ChunkIdStats):
     """Single-pass COUNT held in flat numpy-derived arrays.
 
     The fast path behind :func:`interned_count` when numpy is available:
@@ -623,6 +688,7 @@ class InternedArrayStats:
         self._ordered_first = ordered_first
         self._chunk_sizes = chunk_sizes
         self._packed_pairs = packed_pairs
+        self._rank_lookup = None
         self._frequencies: dict[bytes, int] | None = None
         self._sizes: dict[bytes, int] | None = None
         self._left: _ArrayNeighborView | None = None
@@ -671,6 +737,39 @@ class InternedArrayStats:
     def unique_chunks(self) -> int:
         return len(self._ordered_ids)
 
+    def _rank_of(self):
+        """Chunk id → frequency-table rank (-1 if absent), built lazily."""
+        if self._rank_lookup is None:
+            numpy = accel.numpy
+            lookup = numpy.full(
+                max(len(self.vocabulary), 1), -1, dtype=numpy.int64
+            )
+            lookup[self._ordered_ids] = numpy.arange(
+                len(self._ordered_ids), dtype=numpy.int64
+            )
+            self._rank_lookup = lookup
+        return self._rank_lookup
+
+    def id_table(self) -> tuple:
+        return self._ordered_ids, self._ordered_counts
+
+    def has_id(self, chunk_id: int) -> bool:
+        lookup = self._rank_of()
+        return chunk_id < len(lookup) and lookup[chunk_id] >= 0
+
+    def _sizes_by_id(self):
+        """Chunk id → first-occurrence size, as one vocabulary-wide array."""
+        numpy = accel.numpy
+        sizes = numpy.zeros(max(len(self.vocabulary), 1), dtype=numpy.int64)
+        sizes[self._ordered_ids] = [
+            self._chunk_sizes[index] for index in self._ordered_first
+        ]
+        return sizes
+
+    def block_classes(self, block_size: int, is_plaintext: bool):
+        classes = self._sizes_by_id() // block_size
+        return classes + 1 if is_plaintext else classes
+
     @property
     def frequencies(self) -> dict[bytes, int]:
         if self._frequencies is None:
@@ -700,23 +799,18 @@ class InternedArrayStats:
 
     def _group_pairs(self) -> None:
         numpy = accel.numpy
-        vocabulary = self.vocabulary
         packed = self._packed_pairs
-        if packed is None or not len(packed):
-            self._left = _ArrayNeighborView(vocabulary, [], None, None, None)
-            self._right = _ArrayNeighborView(vocabulary, [], None, None, None)
-            return
+        ordered_pairs = ordered_counts = None
         with _gc_paused():
-            self._group_pairs_inner(numpy, vocabulary, packed)
-
-    def _group_pairs_inner(self, numpy, vocabulary, packed) -> None:
-        unique_pairs, first_index, counts = numpy.unique(
-            packed, return_index=True, return_counts=True
-        )
-        order = numpy.argsort(first_index)
-        self._left, self._right = segment_neighbor_views(
-            numpy, vocabulary, unique_pairs[order], counts[order]
-        )
+            if packed is not None and len(packed):
+                unique_pairs, first_index, counts = numpy.unique(
+                    packed, return_index=True, return_counts=True
+                )
+                order = numpy.argsort(first_index)
+                ordered_pairs, ordered_counts = unique_pairs[order], counts[order]
+            self._left, self._right = segment_neighbor_views(
+                numpy, self.vocabulary, ordered_pairs, ordered_counts
+            )
 
     @property
     def left(self) -> _ArrayNeighborView:
@@ -734,41 +828,104 @@ class InternedArrayStats:
 
 
 def segment_neighbor_views(
-    numpy, vocabulary, ordered_pairs, ordered_counts, keys_as_arrays=False
+    numpy, vocabulary, ordered_pairs, ordered_counts
 ) -> tuple[_ArrayNeighborView, _ArrayNeighborView]:
-    """Build the two directed neighbor views from packed pairs that are
-    already aggregated and in pair-first-occurrence order.
+    """Build the two directed neighbor views ``(left, right)`` from packed
+    pairs that are already aggregated and in pair-first-occurrence order
+    (``None`` when the stream has no pairs).
 
     Stable segment sorts keep the first-occurrence suborder within each
-    segment; the pre-sort id arrays carry the outer first-occurrence
-    order for (lazy) iteration. ``keys_as_arrays`` keeps the bisect keys
-    as numpy arrays instead of Python lists — the trace-scale choice: a
-    probe pays a few numpy scalar reads, but 10⁷ pair keys never become
-    10⁷ boxed ints.
+    segment, and a cumulative ``bincount`` over the owning ids gives every
+    segment's bounds; the pre-sort id arrays carry the outer
+    first-occurrence order for (lazy) iteration. Nothing becomes a boxed
+    int per pair, so the layout holds at trace scale.
     """
+    if ordered_pairs is None or not len(ordered_pairs):
+        return (
+            _ArrayNeighborView(vocabulary, (), None, None, None),
+            _ArrayNeighborView(vocabulary, (), None, None, None),
+        )
     previous_ids = (ordered_pairs >> numpy.uint64(PAIR_SHIFT)).astype(numpy.intp)
     current_ids = (ordered_pairs & numpy.uint64(_PAIR_MASK)).astype(numpy.intp)
+    vocabulary_size = len(vocabulary)
 
-    def keys_of(sorted_ids):
-        return sorted_ids if keys_as_arrays else sorted_ids.tolist()
+    def view(owners, neighbors):
+        starts = numpy.zeros(vocabulary_size + 1, dtype=numpy.intp)
+        numpy.cumsum(
+            numpy.bincount(owners, minlength=vocabulary_size), out=starts[1:]
+        )
+        segments = numpy.argsort(owners, kind="stable")
+        return _ArrayNeighborView(
+            vocabulary,
+            starts,
+            neighbors[segments],
+            ordered_counts[segments],
+            owners,
+        )
 
-    segments = numpy.argsort(previous_ids, kind="stable")
-    right = _ArrayNeighborView(
-        vocabulary,
-        keys_of(previous_ids[segments]),
-        current_ids[segments],
-        ordered_counts[segments],
-        previous_ids,
-    )
-    segments = numpy.argsort(current_ids, kind="stable")
-    left = _ArrayNeighborView(
-        vocabulary,
-        keys_of(current_ids[segments]),
-        previous_ids[segments],
-        ordered_counts[segments],
-        current_ids,
-    )
-    return left, right
+    return view(current_ids, previous_ids), view(previous_ids, current_ids)
+
+
+class _InterningNeighbors:
+    """One direction of fingerprint-keyed neighbor tables, answering
+    :meth:`segment` by interning each probed table's fingerprints."""
+
+    __slots__ = ("_tables", "_fingerprints", "_ids")
+
+    def __init__(self, tables, vocabulary: ChunkVocabulary):
+        self._tables = tables
+        self._fingerprints = vocabulary._fingerprints
+        self._ids = vocabulary._ids
+
+    def segment(self, chunk_id: int) -> tuple:
+        table = self._tables.get(self._fingerprints[chunk_id])
+        if not table:
+            return _NO_SEGMENT
+        return list(map(self._ids.__getitem__, table)), list(table.values())
+
+
+class _InterningAdapter(ChunkIdStats):
+    """:class:`ChunkIdStats` over fingerprint-keyed stats (the dict
+    :class:`~repro.attacks.frequency.ChunkStats`,
+    :class:`~repro.attacks.streaming.BackendChunkStats`).
+
+    The frequency table's fingerprints intern once, in its
+    first-occurrence order, so ids ``0..n-1`` are that order; neighbor
+    tables are fetched and interned per probe, so backend-resident tables
+    still load lazily.
+    """
+
+    def __init__(self, stats):
+        self.vocabulary = ChunkVocabulary()
+        frequencies = stats.frequencies
+        self.vocabulary.intern_stream(list(frequencies))
+        self._counts = list(frequencies.values())
+        self._sizes = stats.sizes
+        self.left = _InterningNeighbors(stats.left, self.vocabulary)
+        self.right = _InterningNeighbors(stats.right, self.vocabulary)
+
+    def id_table(self) -> tuple:
+        return range(len(self._counts)), self._counts
+
+    def has_id(self, chunk_id: int) -> bool:
+        return chunk_id < len(self._counts)
+
+    def block_classes(self, block_size: int, is_plaintext: bool) -> list[int]:
+        extra = 1 if is_plaintext else 0
+        sizes = self._sizes
+        return [
+            sizes[fingerprint] // block_size + extra
+            for fingerprint in self.vocabulary._fingerprints
+        ]
+
+
+def as_chunk_id_stats(stats) -> ChunkIdStats:
+    """``stats`` on the id-level surface the attack loop runs over:
+    interned stats as they are, fingerprint-keyed ones through the
+    interning adapter."""
+    if isinstance(stats, ChunkIdStats):
+        return stats
+    return _InterningAdapter(stats)
 
 
 def interned_count(backup: Backup, vocabulary: ChunkVocabulary | None = None):

@@ -29,14 +29,14 @@ from repro.attacks.base import Attack, AttackResult
 from repro.attacks.frequency import (
     FINGERPRINT,
     INSERTION,
+    TIE_BREAKS,
     ChunkStats,
-    freq_analysis,
+    pair_tops,
+    rank_tops,
 )
-from repro.attacks.interning import interned_count
+from repro.attacks.interning import ChunkIdStats, as_chunk_id_stats, interned_count
 from repro.common.errors import ConfigurationError
 from repro.datasets.model import Backup
-
-_EMPTY: dict[bytes, int] = {}
 
 
 class LocalityAttack(Attack):
@@ -59,6 +59,14 @@ class LocalityAttack(Attack):
         paper, hence fingerprint order)."""
         if u < 1 or v < 1 or w < 1:
             raise ConfigurationError("u, v and w must all be >= 1")
+        for knob, value in (
+            ("tie_break", tie_break),
+            ("seed_tie_break", seed_tie_break),
+        ):
+            if value not in TIE_BREAKS:
+                raise ConfigurationError(
+                    f"unknown {knob} {value!r}; use one of {TIE_BREAKS}"
+                )
         self.u = u
         self.v = v
         self.w = w
@@ -72,39 +80,10 @@ class LocalityAttack(Attack):
         # reference COUNT) through the ChunkStats-compatible lazy views.
         return interned_count(backup)  # type: ignore[return-value]
 
-    def _seed_analyse(
-        self,
-        ciphertext_stats: ChunkStats,
-        plaintext_stats: ChunkStats,
-    ) -> list[tuple[bytes, bytes]]:
-        if hasattr(ciphertext_stats, "top_ranked") and hasattr(
-            plaintext_stats, "top_ranked"
-        ):
-            # Trace-scale stats rank their flat count arrays directly
-            # (byte-identical, but never materializes the full tables).
-            from repro.attacks.sharded import seed_freq_pairs
-
-            return seed_freq_pairs(
-                ciphertext_stats, plaintext_stats, self.u, self.seed_tie_break
-            )
-        return freq_analysis(
-            ciphertext_stats.frequencies,
-            plaintext_stats.frequencies,
-            self.u,
-            self.seed_tie_break,
-        )
-
-    def _analyse(
-        self,
-        ciphertext_table: dict[bytes, int],
-        plaintext_table: dict[bytes, int],
-        limit: int,
-        ciphertext_stats: ChunkStats,
-        plaintext_stats: ChunkStats,
-    ) -> list[tuple[bytes, bytes]]:
-        return freq_analysis(
-            ciphertext_table, plaintext_table, limit, self.tie_break
-        )
+    def _size_classes(self, stats: ChunkIdStats, is_plaintext: bool):
+        """Chunk id → size class for every FREQ-ANALYSIS, or ``None`` to
+        rank each table as one class (the size-blind attack)."""
+        return None
 
     # Main algorithm ----------------------------------------------------------
 
@@ -120,72 +99,123 @@ class LocalityAttack(Attack):
 
     def run_counted(
         self,
-        ciphertext_stats: ChunkStats,
-        plaintext_stats: ChunkStats,
+        ciphertext_stats,
+        plaintext_stats,
         leaked_pairs: dict[bytes, bytes] | None = None,
     ) -> AttackResult:
         """Run the attack over already-counted stats.
 
-        This is the whole algorithm after its two COUNT passes — any
-        ChunkStats-shaped object works, which is how the sharded columnar
-        COUNT (:mod:`repro.attacks.sharded`) drives the attack without
+        This is the whole algorithm after its two COUNT passes, run over
+        interned chunk ids (:class:`~repro.attacks.interning.ChunkIdStats`;
+        fingerprint-keyed stats such as
+        :class:`~repro.attacks.frequency.ChunkStats` are interned on the
+        way in). Fingerprints are decoded once, into the result, in
+        insertion order. That is how the sharded columnar COUNT
+        (:mod:`repro.attacks.sharded`) drives the attack without
         materializing backups.
         """
-        inferred: dict[bytes, bytes] = {}
-        pending: deque[tuple[bytes, bytes]] = deque()
+        cipher = as_chunk_id_stats(ciphertext_stats)
+        plain = as_chunk_id_stats(plaintext_stats)
+        cipher_classes = self._size_classes(cipher, False)
+        plain_classes = self._size_classes(plain, True)
+        cipher_fingerprints = cipher.vocabulary._fingerprints
+        plain_fingerprints = plain.vocabulary._fingerprints
+        # Leaked fingerprints outside a side's vocabulary: id -1 - index.
+        cipher_outside: list[bytes] = []
+        plain_outside: list[bytes] = []
+
+        inferred: dict[int, int] = {}
+        pending: deque[tuple[int, int]] = deque()
         if leaked_pairs:
             # Known-plaintext mode: every leaked pair is known (and counts
             # toward the inference rate, §5.3.3), but only pairs appearing
             # in both the target and the auxiliary backups can propagate
             # through neighbor analysis (Algorithm 2, line 7).
-            auxiliary_chunks = plaintext_stats.frequencies
             for cipher_fp, plain_fp in leaked_pairs.items():
-                if cipher_fp in inferred:
-                    continue
-                inferred[cipher_fp] = plain_fp
+                cipher_id = _id_of(cipher, cipher_fp, cipher_outside)
+                plain_id = _id_of(plain, plain_fp, plain_outside)
+                inferred[cipher_id] = plain_id
                 if (
-                    cipher_fp in ciphertext_stats.frequencies
-                    and plain_fp in auxiliary_chunks
+                    cipher_id >= 0
+                    and plain_id >= 0
+                    and cipher.has_id(cipher_id)
+                    and plain.has_id(plain_id)
                 ):
-                    pending.append((cipher_fp, plain_fp))
+                    pending.append((cipher_id, plain_id))
         else:
             # Ciphertext-only mode: seed from global frequency analysis.
-            seeds = self._seed_analyse(ciphertext_stats, plaintext_stats)
-            for cipher_fp, plain_fp in seeds:
-                if cipher_fp not in inferred:
-                    inferred[cipher_fp] = plain_fp
-                    pending.append((cipher_fp, plain_fp))
+            seeds = pair_tops(
+                cipher.top_ids(self.u, self.seed_tie_break, cipher_classes),
+                plain.top_ids(self.u, self.seed_tie_break, plain_classes),
+            )
+            for cipher_id, plain_id in seeds:
+                if cipher_id not in inferred:
+                    inferred[cipher_id] = plain_id
+                    pending.append((cipher_id, plain_id))
 
-        left_c = ciphertext_stats.left
-        right_c = ciphertext_stats.right
-        left_m = plaintext_stats.left
-        right_m = plaintext_stats.right
+        v = self.v
+        w = self.w
+        tie_break = self.tie_break
+        # (ciphertext segment, plaintext segment, plaintext memo) per
+        # direction, left first. A ciphertext id is popped at most once,
+        # but a plaintext id is popped once per ciphertext id it was
+        # paired with, so its ranked neighbors are memoized.
+        directions = (
+            (cipher.left.segment, plain.left.segment, {}),
+            (cipher.right.segment, plain.right.segment, {}),
+        )
         iterations = 0
         while pending:
-            cipher_fp, plain_fp = pending.popleft()
+            cipher_id, plain_id = pending.popleft()
             iterations += 1
-            left_pairs = self._analyse(
-                left_c.get(cipher_fp, _EMPTY),
-                left_m.get(plain_fp, _EMPTY),
-                self.v,
-                ciphertext_stats,
-                plaintext_stats,
-            )
-            right_pairs = self._analyse(
-                right_c.get(cipher_fp, _EMPTY),
-                right_m.get(plain_fp, _EMPTY),
-                self.v,
-                ciphertext_stats,
-                plaintext_stats,
-            )
-            for new_cipher, new_plain in left_pairs + right_pairs:
+            new_pairs: list[tuple[int, int]] = []
+            for cipher_segment, plain_segment, plain_memo in directions:
+                neighbors, counts = cipher_segment(cipher_id)
+                if not neighbors:
+                    continue
+                cipher_tops = rank_tops(
+                    neighbors, counts, v, tie_break,
+                    cipher_classes, cipher_fingerprints,
+                )
+                plain_tops = plain_memo.get(plain_id)
+                if plain_tops is None:
+                    neighbors, counts = plain_segment(plain_id)
+                    plain_tops = plain_memo[plain_id] = rank_tops(
+                        neighbors, counts, v, tie_break,
+                        plain_classes, plain_fingerprints,
+                    )
+                new_pairs += pair_tops(cipher_tops, plain_tops)
+            for new_cipher, new_plain in new_pairs:
                 if new_cipher not in inferred:
                     inferred[new_cipher] = new_plain
-                    if len(pending) <= self.w:
+                    if len(pending) <= w:
                         pending.append((new_cipher, new_plain))
+        pairs = {
+            _decode(cipher_fingerprints, cipher_outside, cipher_id): _decode(
+                plain_fingerprints, plain_outside, plain_id
+            )
+            for cipher_id, plain_id in inferred.items()
+        }
         return AttackResult(
-            pairs=inferred, attack_name=self.name, iterations=iterations
+            pairs=pairs,
+            attack_name=self.name,
+            iterations=iterations,
+            chunk_ids=inferred,
         )
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(u={self.u}, v={self.v}, w={self.w})"
+
+
+def _id_of(stats: ChunkIdStats, fingerprint: bytes, outside: list[bytes]) -> int:
+    """``fingerprint``'s id in ``stats``' vocabulary, or a fresh negative
+    id ``-1 - index`` into ``outside`` when the vocabulary lacks it."""
+    chunk_id = stats.vocabulary._ids.get(fingerprint)
+    if chunk_id is None:
+        outside.append(fingerprint)
+        return -len(outside)
+    return chunk_id
+
+
+def _decode(fingerprints, outside: list[bytes], chunk_id: int) -> bytes:
+    return fingerprints[chunk_id] if chunk_id >= 0 else outside[~chunk_id]

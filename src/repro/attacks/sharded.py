@@ -20,11 +20,11 @@ worker process, and merging the per-shard deltas deterministically:
   ``--jobs`` (pinned by the differential tests).
 
 The numpy path returns :class:`ColumnarArrayStats`, which never
-materializes the full frequency table: ``frequencies``/``sizes`` are lazy
-rank-indexed views over flat arrays, neighbor tables decode per probed
-fingerprint, and the attacks' global seeding goes through
-:meth:`ColumnarArrayStats.top_ranked` / :meth:`ColumnarArrayStats.class_tops`
-— a C-level partial ranking instead of sorting a 10⁷-entry dict. The
+materializes the full frequency table: the attacks run over its id-level
+surface (:class:`~repro.attacks.interning.ChunkIdStats`), whose global
+seeding ranking :meth:`ColumnarArrayStats.top_ids` is a C-level sort of
+the flat count arrays instead of a sort of a 10⁷-entry dict, and the
+``frequencies``/``sizes`` mappings are lazy rank-indexed views. The
 pure-Python fallback (:data:`repro.common.accel` seam) counts shards with
 ``Counter`` primitives and merges in shard order (``Counter.update``
 preserves first-seen key order), returning a plain
@@ -36,7 +36,8 @@ a deterministic per-chunk encryption is the plaintext id stream, so the
 counted arrays are reused verbatim — only the fingerprint decode and the
 padded sizes differ), samples known-plaintext leakage without building the
 fingerprint set, runs the locality/advanced attack on the counted stats,
-and scores against the vocabulary-level ground truth.
+and scores by chunk id: both sides share the trace's id space, so a pair
+is correct exactly when its two ids are equal.
 """
 
 from __future__ import annotations
@@ -54,12 +55,11 @@ from repro import faults, obs
 from repro.faults import WorkerCrashError
 
 from repro.attacks.evaluation import InferenceReport
-from repro.attacks.frequency import FINGERPRINT, INSERTION
+from repro.attacks.frequency import FINGERPRINT, INSERTION, TIE_BREAKS
 from repro.attacks.interning import (
     PAIR_SHIFT,
     InternedArrayStats,
     InternedChunkStats,
-    _ArrayNeighborView,
     _gc_paused,
     check_vocabulary_capacity,
     segment_neighbor_views,
@@ -80,12 +80,8 @@ __all__ = [
     "columnar_attack_report",
     "encrypt_vocabulary",
     "sample_columnar_leakage",
-    "seed_freq_pairs",
     "sharded_count",
-    "sized_seed_pairs",
 ]
-
-_TIE_BREAKS = (INSERTION, FINGERPRINT)
 
 
 # ---------------------------------------------------------------------------
@@ -379,13 +375,13 @@ class _LazySizes(_LazyVocabMapping):
 class ColumnarArrayStats(InternedArrayStats):
     """Merged sharded COUNT over a columnar backup, held in flat arrays.
 
-    Same mapping surface as :class:`InternedArrayStats` (so the
-    locality/advanced attacks run unchanged), but nothing scales with the
-    full table: ``frequencies``/``sizes`` are lazy rank-indexed views,
-    neighbor tables decode per probed fingerprint, and global frequency
-    ranking goes through :meth:`top_ranked`/:meth:`class_tops`. All
-    ordering is first-occurrence order, byte-identical to the in-RAM
-    interned COUNT (differential tests).
+    Same id-level and mapping surfaces as :class:`InternedArrayStats`, but
+    nothing scales with the full table in Python objects:
+    ``frequencies``/``sizes`` are lazy rank-indexed views, neighbor
+    tables decode per probed fingerprint, and global frequency ranking
+    (:meth:`top_ids`) sorts the flat arrays. All ordering is
+    first-occurrence order, byte-identical to the in-RAM interned COUNT
+    (differential tests).
 
     ``ordered_ids``/``ordered_counts``/``ordered_first`` are int64 arrays
     in global first-occurrence order; ``first_sizes`` holds each present
@@ -410,24 +406,15 @@ class ColumnarArrayStats(InternedArrayStats):
         self._first_sizes = first_sizes
         self._ordered_pairs = ordered_pairs
         self._ordered_pair_counts = ordered_pair_counts
-        self._rank_lookup = None
         self._tie_orders: dict[str, object] = {}
         self._lazy_frequencies: _LazyFrequencies | None = None
         self._lazy_sizes: _LazySizes | None = None
 
-    def _rank_of(self):
-        """Chunk id → frequency-table rank (-1 if absent), built lazily."""
-        if self._rank_lookup is None:
-            numpy = accel.numpy
-            lookup = numpy.full(
-                max(len(self.vocabulary), 1), -1, dtype=numpy.int64
-            )
-            if len(self._ordered_ids):
-                lookup[self._ordered_ids] = numpy.arange(
-                    len(self._ordered_ids), dtype=numpy.int64
-                )
-            self._rank_lookup = lookup
-        return self._rank_lookup
+    def _sizes_by_id(self):
+        numpy = accel.numpy
+        sizes = numpy.zeros(max(len(self.vocabulary), 1), dtype=numpy.int64)
+        sizes[self._ordered_ids] = self._first_sizes
+        return sizes
 
     @property
     def frequencies(self) -> _LazyFrequencies:  # type: ignore[override]
@@ -442,19 +429,12 @@ class ColumnarArrayStats(InternedArrayStats):
         return self._lazy_sizes
 
     def _group_pairs(self) -> None:
-        numpy = accel.numpy
-        pairs = self._ordered_pairs
-        if pairs is None or not len(pairs):
-            self._left = _ArrayNeighborView(self.vocabulary, [], None, None, None)
-            self._right = _ArrayNeighborView(self.vocabulary, [], None, None, None)
-            return
         with _gc_paused():
             self._left, self._right = segment_neighbor_views(
-                numpy,
+                accel.numpy,
                 self.vocabulary,
-                pairs,
+                self._ordered_pairs,
                 self._ordered_pair_counts,
-                keys_as_arrays=True,
             )
 
     # -- streaming rank extraction ------------------------------------------
@@ -481,10 +461,39 @@ class ColumnarArrayStats(InternedArrayStats):
             order = numpy.lexsort((ranks, -counts))
         else:
             raise ValueError(
-                f"unknown tie_break {tie_break!r}; use one of {_TIE_BREAKS}"
+                f"unknown tie_break {tie_break!r}; use one of {TIE_BREAKS}"
             )
         self._tie_orders[tie_break] = order
         return order
+
+    def top_ids(self, limit: int | None, tie_break: str, classes=None) -> dict:
+        """:meth:`ChunkIdStats.top_ids` as array sorts.
+
+        Because a stable sort of a subsequence equals the stably-sorted
+        full sequence filtered to it, slicing the global ranking by class
+        reproduces exactly the per-class ranking
+        :func:`~repro.attacks.frequency.rank_tops` computes over class
+        buckets.
+        """
+        if not len(self._ordered_ids):
+            return {}
+        numpy = accel.numpy
+        ranked = self._ordered_ids[self._tie_order(tie_break)]
+        if classes is None:
+            return {None: ranked[:limit].tolist()}
+        ranked_classes = classes[ranked]
+        class_order = numpy.argsort(ranked_classes, kind="stable")
+        sorted_classes = ranked_classes[class_order]
+        boundaries = (
+            numpy.flatnonzero(sorted_classes[1:] != sorted_classes[:-1]) + 1
+        ).tolist()
+        tops: dict[int, list[int]] = {}
+        for low, high in zip([0, *boundaries], [*boundaries, len(ranked)]):
+            take = high - low if limit is None else min(limit, high - low)
+            tops[int(sorted_classes[low])] = ranked[
+                class_order[low : low + take]
+            ].tolist()
+        return tops
 
     def top_ranked(
         self, limit: int | None = None, tie_break: str = INSERTION
@@ -492,60 +501,11 @@ class ColumnarArrayStats(InternedArrayStats):
         """The ``limit`` top-frequency fingerprints, identical to
         ``rank_by_frequency(self.frequencies, tie_break)[:limit]`` but
         decoding only the returned prefix."""
-        count = len(self._ordered_ids)
-        take = count if limit is None else min(limit, count)
-        if take <= 0:
-            return []
-        order = self._tie_order(tie_break)[:take]
         fingerprints = self.vocabulary._fingerprints
-        ids = self._ordered_ids
         return [
-            fingerprints[int(ids[int(position)])] for position in order
+            fingerprints[chunk_id]
+            for chunk_id in self.top_ids(limit, tie_break).get(None, [])
         ]
-
-    def class_tops(
-        self,
-        limit: int,
-        block_size: int,
-        is_plaintext: bool,
-        tie_break: str = INSERTION,
-    ) -> tuple[dict[int, list[bytes]], dict[int, int]]:
-        """Per cipher-block-count class: the top-``limit`` fingerprints and
-        the class population.
-
-        Because a stable sort of a subsequence equals the stably-sorted
-        full sequence filtered to it, slicing the global ranking by class
-        reproduces exactly the per-class ranking
-        :func:`~repro.attacks.frequency.sized_freq_analysis` computes over
-        materialized class buckets.
-        """
-        if not len(self._ordered_ids):
-            return {}, {}
-        numpy = accel.numpy
-        order = self._tie_order(tie_break)
-        blocks = self._first_sizes // block_size
-        if is_plaintext:
-            blocks = blocks + 1
-        ranked_blocks = blocks[order]
-        class_order = numpy.argsort(ranked_blocks, kind="stable")
-        sorted_blocks = ranked_blocks[class_order]
-        boundaries = (
-            numpy.flatnonzero(sorted_blocks[1:] != sorted_blocks[:-1]) + 1
-        ).tolist()
-        fingerprints = self.vocabulary._fingerprints
-        ids = self._ordered_ids
-        tops: dict[int, list[bytes]] = {}
-        populations: dict[int, int] = {}
-        for low, high in zip(
-            [0, *boundaries], [*boundaries, len(sorted_blocks)]
-        ):
-            block = int(sorted_blocks[low])
-            populations[block] = high - low
-            chosen = order[class_order[low : low + min(limit, high - low)]]
-            tops[block] = [
-                fingerprints[int(ids[int(position)])] for position in chosen
-            ]
-        return tops, populations
 
     def with_vocabulary(self, vocabulary, first_sizes) -> "ColumnarArrayStats":
         """The same counted stream under another fingerprint decode.
@@ -702,59 +662,6 @@ def _merge_python(view, results):
 
 
 # ---------------------------------------------------------------------------
-# Streaming seed extraction (consumed by the attacks' _seed_analyse hooks)
-
-
-def seed_freq_pairs(
-    ciphertext_stats, plaintext_stats, limit: int | None, tie_break: str
-) -> list[tuple[bytes, bytes]]:
-    """FREQ-ANALYSIS over two full frequency tables without materializing
-    either: rank-``i`` ciphertext chunk pairs with rank-``i`` plaintext
-    chunk, identical to :func:`~repro.attacks.frequency.freq_analysis`
-    over the dict tables."""
-    pair_count = min(
-        ciphertext_stats.unique_chunks, plaintext_stats.unique_chunks
-    )
-    if limit is not None:
-        pair_count = min(pair_count, limit)
-    if pair_count == 0:
-        return []
-    return list(
-        zip(
-            ciphertext_stats.top_ranked(pair_count, tie_break),
-            plaintext_stats.top_ranked(pair_count, tie_break),
-        )
-    )
-
-
-def sized_seed_pairs(
-    ciphertext_stats,
-    plaintext_stats,
-    limit: int,
-    block_size: int,
-    tie_break: str,
-) -> list[tuple[bytes, bytes]]:
-    """Size-classified FREQ-ANALYSIS over the full tables (Algorithm 3's
-    seeding), identical to
-    :func:`~repro.attacks.frequency.sized_freq_analysis` over the dict
-    tables but pairing only the per-class top ``limit`` ranks."""
-    cipher_tops, _ = ciphertext_stats.class_tops(
-        limit, block_size, is_plaintext=False, tie_break=tie_break
-    )
-    plain_tops, _ = plaintext_stats.class_tops(
-        limit, block_size, is_plaintext=True, tie_break=tie_break
-    )
-    pairs: list[tuple[bytes, bytes]] = []
-    for block in sorted(cipher_tops):
-        plain_top = plain_tops.get(block)
-        if not plain_top:
-            continue
-        take = min(len(cipher_tops[block]), len(plain_top))
-        pairs.extend(zip(cipher_tops[block][:take], plain_top[:take]))
-    return pairs
-
-
-# ---------------------------------------------------------------------------
 # MLE ciphertext side at the vocabulary level
 
 
@@ -784,22 +691,6 @@ def encrypt_vocabulary(trace: ColumnarTrace) -> PackedVocabulary:
             "ciphertext fingerprint collision; increase fingerprint_bytes"
         )
     return vocabulary
-
-
-class _VocabTruth:
-    """Lazy ciphertext → plaintext ground truth through the shared ids."""
-
-    __slots__ = ("_cipher", "_plain")
-
-    def __init__(self, cipher_vocabulary, plain_vocabulary):
-        self._cipher = cipher_vocabulary
-        self._plain = plain_vocabulary
-
-    def get(self, cipher_fingerprint: bytes, default=None):
-        chunk_id = self._cipher._ids.get(cipher_fingerprint)
-        if chunk_id is None:
-            return default
-        return self._plain._fingerprints[chunk_id]
 
 
 def sample_columnar_leakage(
@@ -954,11 +845,12 @@ def columnar_attack_report(
         result = built.run_counted(
             ciphertext_stats, auxiliary_stats, leaked or None
         )
-        truth = _VocabTruth(cipher_vocabulary, trace.vocabulary)
+        # Ciphertext id k encrypts plaintext id k; ids outside either
+        # vocabulary are negative and never correct.
         correct = sum(
             1
-            for cipher_fp, plain_fp in result.pairs.items()
-            if truth.get(cipher_fp) == plain_fp
+            for cipher_id, plain_id in result.chunk_ids.items()
+            if cipher_id == plain_id >= 0
         )
         return InferenceReport(
             attack=result.attack_name,

@@ -3,7 +3,12 @@
 Includes the paper's Figure 3 worked example, verified pair by pair.
 """
 
+import hashlib
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from locality_reference import reference_run_counted
 
 from repro.attacks.advanced import AdvancedLocalityAttack
 from repro.attacks.basic import BasicAttack
@@ -88,9 +93,19 @@ class TestFigure3Example:
 
 class TestLocalityAttack:
     def test_parameter_validation(self):
-        for bad in ({"u": 0}, {"v": 0}, {"w": 0}):
+        for bad in (
+            {"u": 0},
+            {"v": 0},
+            {"w": 0},
+            # Checked up front: FREQ-ANALYSIS returns early on empty
+            # tables, so a ranking may never run to reject it.
+            {"tie_break": "bogus"},
+            {"seed_tie_break": "bogus"},
+        ):
             with pytest.raises(ConfigurationError):
                 LocalityAttack(**bad)
+        with pytest.raises(ConfigurationError, match="tie_break"):
+            AdvancedLocalityAttack(tie_break="bogus")
 
     def test_chain_propagation_through_unique_run(self):
         # One shared frequent chunk seeds the walk; the rest is a run of
@@ -180,3 +195,117 @@ class TestAdvancedLocalityAttack:
         cipher = backup(["C"] * 5 + ["Y"], sizes=[9008] * 5 + [2016])
         result = AdvancedLocalityAttack(u=1, v=1, w=100).run(cipher, plain)
         assert result.pairs.get(b"C") != b"m"
+
+
+# ---------------------------------------------------------------------------
+# Id-space loop vs the paper-literal, fingerprint-keyed reference loop
+
+
+def _cipher_fingerprint(token: int) -> bytes:
+    # Unrelated to the plaintext order, like real ciphertext fingerprints,
+    # so the fingerprint tie-break ranks the two sides differently.
+    return hashlib.sha256(b"%d" % token).digest()[:6]
+
+
+def _plain_fingerprint(token: int) -> bytes:
+    return b"m%03d" % token
+
+
+@st.composite
+def attack_inputs(draw):
+    alphabet = draw(st.integers(1, 10))
+    token = st.integers(0, alphabet - 1)
+    plain_tokens = draw(st.lists(token, max_size=50))
+    target_tokens = list(plain_tokens)
+    # Edits: overwrite positions (new tokens included), then append.
+    for position, value in draw(
+        st.lists(st.tuples(st.integers(0, 49), st.integers(0, alphabet + 3)),
+                 max_size=8)
+    ):
+        if position < len(target_tokens):
+            target_tokens[position] = value
+    target_tokens += draw(st.lists(st.integers(0, alphabet + 3), max_size=10))
+    sizes = {
+        value: draw(st.sampled_from([100, 1000, 1010, 4096]))
+        for value in range(alphabet + 4)
+    }
+    plain = Backup(
+        label="aux",
+        fingerprints=[_plain_fingerprint(t) for t in plain_tokens],
+        sizes=[sizes[t] for t in plain_tokens],
+    )
+    cipher = Backup(
+        label="target",
+        fingerprints=[_cipher_fingerprint(t) for t in target_tokens],
+        sizes=[(sizes[t] // 16 + 1) * 16 for t in target_tokens],
+    )
+    leaked = None
+    if draw(st.booleans()):
+        leaked = {
+            _cipher_fingerprint(t): _plain_fingerprint(t)
+            for t in draw(st.lists(st.integers(0, alphabet + 3), max_size=4))
+        }
+        if draw(st.booleans()):
+            # A leaked pair outside both streams' vocabularies.
+            leaked[b"outside-c"] = b"outside-m"
+    return cipher, plain, leaked
+
+
+def _stats_kinds():
+    from repro.attacks.frequency import count_with_neighbors
+    from repro.attacks.interning import InternedCount, interned_count
+    from repro.attacks.streaming import streaming_count
+
+    def interned_python(backup_):
+        counter = InternedCount()
+        counter.ingest_backup(backup_)
+        return counter.stats()
+
+    return {
+        "ChunkStats": count_with_neighbors,
+        "interned_count": interned_count,
+        "InternedChunkStats": interned_python,
+        "BackendChunkStats": lambda b: streaming_count(b, batch_size=7),
+    }
+
+
+class TestIdSpaceLoopMatchesReference:
+    """Every stats kind through ``run_counted`` equals the reference loop
+    over dict ``ChunkStats``: same pairs, same order, same iterations."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        inputs=attack_inputs(),
+        advanced=st.booleans(),
+        tie_break=st.sampled_from(["insertion", "fingerprint"]),
+        seed_tie_break=st.sampled_from(["insertion", "fingerprint"]),
+        u=st.integers(1, 2),
+        v=st.sampled_from([1, 2, 15]),
+        w=st.sampled_from([1, 2, 10**6]),
+    )
+    def test_pairs_order_and_iterations(
+        self, inputs, advanced, tie_break, seed_tie_break, u, v, w
+    ):
+        from repro.attacks.frequency import count_with_neighbors
+
+        cipher, plain, leaked = inputs
+        if advanced:
+            attack = AdvancedLocalityAttack(u=u, v=v, w=w, tie_break=tie_break)
+        else:
+            attack = LocalityAttack(
+                u=u, v=v, w=w, tie_break=tie_break,
+                seed_tie_break=seed_tie_break,
+            )
+        expected = reference_run_counted(
+            attack,
+            count_with_neighbors(cipher),
+            count_with_neighbors(plain),
+            leaked,
+        )
+        for kind, count in _stats_kinds().items():
+            result = attack.run_counted(count(cipher), count(plain), leaked)
+            assert list(result.pairs.items()) == list(
+                expected.pairs.items()
+            ), kind
+            assert result.iterations == expected.iterations, kind
+            assert result.attack_name == expected.attack_name

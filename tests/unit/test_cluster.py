@@ -34,13 +34,16 @@ def pinned_keys(count: int, seed: int = 17) -> list[bytes]:
 class TestRouters:
     def test_ring_deterministic_across_instances(self):
         keys = pinned_keys(500)
-        first = [open_router("ring", 5).node_of(key) for key in keys]
-        second = [open_router("ring", 5).node_of(key) for key in keys]
+        first_router = open_router("ring", 5)
+        second_router = open_router("ring", 5)
+        first = [first_router.node_of(key) for key in keys]
+        second = [second_router.node_of(key) for key in keys]
         assert first == second
 
     def test_ring_uses_every_node(self):
         keys = pinned_keys(5000)
-        owners = Counter(open_router("ring", 8).node_of(key) for key in keys)
+        router = open_router("ring", 8)
+        owners = Counter(router.node_of(key) for key in keys)
         assert sorted(owners) == list(range(8))
 
     def test_ring_shards_nest_as_cluster_grows(self):
@@ -51,11 +54,8 @@ class TestRouters:
         for node in (0, 1):
             previous = None
             for nodes in (2, 3, 4, 8, 16):
-                shard = {
-                    key
-                    for key in keys
-                    if open_router("ring", nodes).node_of(key) == node
-                }
+                router = open_router("ring", nodes)
+                shard = {key for key in keys if router.node_of(key) == node}
                 if previous is not None:
                     assert shard <= previous
                 previous = shard

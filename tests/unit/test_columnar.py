@@ -18,6 +18,7 @@ every seam:
 import os
 
 import pytest
+from locality_reference import reference_run_counted
 
 from repro.attacks.evaluation import AttackEvaluator
 from repro.attacks.frequency import count_with_neighbors
@@ -282,6 +283,54 @@ class TestColumnarAttackEquivalence:
                         trace, attack, leakage_rate=rate, jobs=jobs
                     )
                     assert report == expected
+        finally:
+            trace.close()
+
+    @pytest.mark.parametrize("leakage_rate", [0.0, 0.01])
+    @pytest.mark.parametrize("attack", ["locality", "advanced"])
+    def test_id_space_loop_matches_reference(
+        self, tmp_path, count_mode, attack, leakage_rate
+    ):
+        # The attack loop over the columnar stats' chunk ids equals the
+        # paper-literal loop over the same stats' fingerprint mappings.
+        from repro.attacks.advanced import AdvancedLocalityAttack
+        from repro.attacks.locality import LocalityAttack
+        from repro.attacks.sharded import (
+            _encrypted_stats,
+            encrypt_vocabulary,
+            sample_columnar_leakage,
+        )
+
+        config = StreamConfig(chunks=6_000, backups=2)
+        trace = ensure_stream_columnar(tmp_path / "trace", config, seed=9)
+        try:
+            ciphertext_stats = _encrypted_stats(
+                sharded_count(trace.view(-1)), encrypt_vocabulary(trace)
+            )
+            auxiliary_stats = sharded_count(trace.view(-2))
+            leaked = sample_columnar_leakage(
+                ciphertext_stats,
+                trace.vocabulary,
+                trace.view(-1).label,
+                leakage_rate,
+            )
+            for tie_break in ("insertion", "fingerprint"):
+                for w in (1, 2, 200_000):
+                    if attack == "advanced":
+                        built = AdvancedLocalityAttack(w=w, tie_break=tie_break)
+                    else:
+                        built = LocalityAttack(w=w, tie_break=tie_break)
+                    result = built.run_counted(
+                        ciphertext_stats, auxiliary_stats, leaked or None
+                    )
+                    expected = reference_run_counted(
+                        built, ciphertext_stats, auxiliary_stats, leaked or None
+                    )
+                    assert list(result.pairs.items()) == list(
+                        expected.pairs.items()
+                    )
+                    assert result.iterations == expected.iterations
+                    assert result.pairs
         finally:
             trace.close()
 

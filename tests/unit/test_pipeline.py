@@ -197,3 +197,78 @@ class TestCollisionDetection:
         pipeline = DefensePipeline(DefenseScheme.MLE, fingerprint_bytes=8)
         encrypted = pipeline.encrypt_backup(backup(["a", "b", "a", "a"]))
         assert len(encrypted.truth) == 2
+
+
+# Known-answer vectors. MLE maps a plaintext fingerprint to
+# SHA-256(b"mle|" + fingerprint) truncated to the plaintext width, and a
+# chunk size to its PKCS#7-padded size in 16-byte blocks. The in-RAM
+# pipeline and the trace-scale vocabulary encryption must agree on every
+# byte: the columnar attack counts once, reuses chunk ids across the
+# encryption, and scores a pair correct by comparing ids.
+MLE_VECTORS = [
+    (
+        bytes(16),
+        0,
+        bytes.fromhex("497c1eeb2dc257082f1796f4d21cbac4"),
+        16,
+    ),
+    (
+        bytes.fromhex("000102030405060708090a0b0c0d0e0f"),
+        4095,
+        bytes.fromhex("259476c688e73caf8754b08f45b9140e"),
+        4096,
+    ),
+    (
+        b"\xff" * 16,
+        8192,
+        bytes.fromhex("511d8d27cc6866bc3f93ed89442d4d1b"),
+        8208,
+    ),
+]
+
+
+class TestMLEKnownAnswers:
+    def _source(self):
+        return Backup(
+            label="kat",
+            fingerprints=[plain for plain, _, _, _ in MLE_VECTORS],
+            sizes=[size for _, size, _, _ in MLE_VECTORS],
+        )
+
+    def test_defense_pipeline(self):
+        encrypted = DefensePipeline(DefenseScheme.MLE).encrypt_backup(
+            self._source()
+        )
+        assert encrypted.ciphertext.fingerprints == [
+            cipher for _, _, cipher, _ in MLE_VECTORS
+        ]
+        assert encrypted.ciphertext.sizes == [
+            padded for _, _, _, padded in MLE_VECTORS
+        ]
+        assert encrypted.truth == {
+            cipher: plain for plain, _, cipher, _ in MLE_VECTORS
+        }
+
+    def test_encrypt_vocabulary(self, tmp_path):
+        from repro.attacks.sharded import (
+            _encrypted_stats,
+            encrypt_vocabulary,
+            sharded_count,
+        )
+        from repro.datasets.columnar import write_series
+        from repro.datasets.model import BackupSeries
+
+        trace = write_series(
+            BackupSeries(name="kat", backups=[self._source()]),
+            tmp_path / "trace",
+        )
+        try:
+            vocabulary = encrypt_vocabulary(trace)
+            stats = _encrypted_stats(sharded_count(trace.view(0)), vocabulary)
+            for plain, _, cipher, padded in MLE_VECTORS:
+                chunk_id = trace.vocabulary.id_of(plain)
+                assert vocabulary.fingerprint(chunk_id) == cipher
+                assert vocabulary.id_of(cipher) == chunk_id
+                assert stats.sizes[cipher] == padded
+        finally:
+            trace.close()
