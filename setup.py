@@ -1,11 +1,33 @@
-"""Legacy setup shim.
+"""Package metadata for ``repro``, installed with the ``freqdedup`` command.
 
-The offline environment has no ``wheel`` package, so PEP-517 editable
-installs (which must build a wheel) fail. This shim lets
-``pip install -e . --no-use-pep517 --no-build-isolation`` use the classic
-``setup.py develop`` path. All metadata lives in pyproject.toml.
+``pip install -e . --no-use-pep517 --no-build-isolation`` installs in
+development mode through the classic ``setup.py develop`` path, which
+needs no ``wheel`` package. The version is read from
+``src/repro/version.py`` without importing the package.
 """
 
-from setuptools import setup
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+
+def _version() -> str:
+    namespace: dict = {}
+    source = Path(__file__).resolve().parent / "src" / "repro" / "version.py"
+    exec(source.read_text(encoding="utf-8"), namespace)
+    return namespace["__version__"]
+
+
+setup(
+    name="freqdedup",
+    version=_version(),
+    description=(
+        "Reproduction of 'Information Leakage in Encrypted Deduplication "
+        "via Frequency Analysis' (DSN 2017)"
+    ),
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.11",
+    install_requires=["numpy"],
+    entry_points={"console_scripts": ["freqdedup = repro.cli:main"]},
+)

@@ -21,7 +21,8 @@ import sys
 from datetime import datetime, timezone
 from typing import Any, Callable
 
-from repro.common import accel
+import numpy
+
 from repro.version import __version__
 
 __all__ = [
@@ -74,7 +75,7 @@ def metadata_envelope() -> dict[str, Any]:
         "generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "repro_version": __version__,
         "python": platform.python_version(),
-        "numpy": None if accel.numpy is None else accel.numpy.__version__,
+        "numpy": numpy.__version__,
         "platform": platform.machine(),
         "cpu_count": os.cpu_count(),
         "git_commit": commit,

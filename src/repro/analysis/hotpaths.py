@@ -12,13 +12,13 @@ checks, never over timings, which are machine-dependent).
 Workloads:
 
 * **chunking** — pseudorandom bytes at the default 2048/8192/65536 spec;
-  each chunker's skip-ahead/vectorized ``cut_points`` is timed against
-  its byte-at-a-time ``cut_points_reference``.
+  each chunker's vectorized ``cut_points`` is timed against its
+  byte-at-a-time ``cut_points_reference``.
 * **count** — an FSL-shaped logical chunk stream (Zipf-popular template
   runs with churn, unique/total ≈ 0.7 like the repo's FSL workload);
   the interned COUNT is timed against ``count_with_neighbors``, both
-  bare (tables accumulated) and *rank-ready* (global frequency table
-  plus both neighbor tables materialized for probing — everything the
+  bare (tables accumulated) and *rank-ready* (global frequency ranking
+  plus both neighbor tables grouped for probing — everything the
   locality attack needs before its first FREQ-ANALYSIS).
 * **service** — one pinned multi-tenant population served through
   ``DedupService`` (synthesis excluded via the shared traffic memo), so
@@ -38,7 +38,8 @@ import sys
 import time
 from pathlib import Path
 
-from repro.common import accel
+import numpy
+
 from repro.version import __version__
 
 #: Default output file, at the repo root when run from it.
@@ -161,7 +162,7 @@ def bench_count(quick: bool, repeats: int) -> dict:
 
     def rank_ready():
         stats = interned_count(backup)
-        stats.frequencies
+        stats.top_ranked(1)
         stats.left
         stats.right
         return stats
@@ -190,31 +191,22 @@ def bench_count(quick: bool, repeats: int) -> dict:
 
 def _columnar_stats_equal(left, right) -> bool:
     """Exact equality of two sharded-COUNT outputs (any jobs values)."""
-    numpy = accel.numpy
-    if numpy is not None and hasattr(left, "_ordered_ids"):
-        for ours, theirs in (
-            (left._ordered_pairs, right._ordered_pairs),
-            (left._ordered_pair_counts, right._ordered_pair_counts),
-        ):
-            if (ours is None) != (theirs is None):
-                return False
-            if ours is not None and not numpy.array_equal(ours, theirs):
-                return False
-        return all(
-            numpy.array_equal(getattr(left, name), getattr(right, name))
-            for name in (
-                "_ordered_ids",
-                "_ordered_counts",
-                "_ordered_first",
-                "_first_sizes",
-            )
+    for ours, theirs in (
+        (left._ordered_pairs, right._ordered_pairs),
+        (left._ordered_pair_counts, right._ordered_pair_counts),
+    ):
+        if (ours is None) != (theirs is None):
+            return False
+        if ours is not None and not numpy.array_equal(ours, theirs):
+            return False
+    return all(
+        numpy.array_equal(getattr(left, name), getattr(right, name))
+        for name in (
+            "_ordered_ids",
+            "_ordered_counts",
+            "_ordered_first",
+            "_first_sizes",
         )
-    return (
-        left._frequency_counts == right._frequency_counts
-        and list(left._frequency_counts) == list(right._frequency_counts)
-        and left._size_by_id == right._size_by_id
-        and left._pair_counts == right._pair_counts
-        and list(left._pair_counts) == list(right._pair_counts)
     )
 
 
@@ -227,13 +219,7 @@ def _sampled_probe_identity(columnar, interned, sample: int = 64) -> bool:
     *and* insertion order) must match the interned reference. Exhaustive
     equality is pinned at unit-test scale (tests/unit/test_columnar.py).
     """
-    from itertools import islice
-
-    if hasattr(columnar, "top_ranked"):
-        probes = columnar.top_ranked(sample)
-    else:  # pure-python fallback: plain insertion-ordered dicts
-        probes = list(islice(columnar.frequencies, sample))
-    for fingerprint in probes:
+    for fingerprint in columnar.top_ranked(sample):
         if columnar.frequencies.get(fingerprint) != interned.frequencies.get(
             fingerprint
         ):
@@ -277,15 +263,14 @@ def bench_columnar(quick: bool, repeats: int, jobs: int = 1) -> dict:
 
         def rank_ready_sharded():
             stats = sharded_count(view, jobs=jobs)
-            if hasattr(stats, "top_ranked"):
-                stats.top_ranked(1)
+            stats.top_ranked(1)
             stats.left
             stats.right
             return stats
 
         def rank_ready_interned(backup):
             stats = interned_count(backup)
-            stats.frequencies
+            stats.top_ranked(1)
             stats.left
             stats.right
             return stats
@@ -408,7 +393,7 @@ def run_bench(quick: bool = False, repeats: int = 3, jobs: int = 1) -> dict:
         "quick": quick,
         "repeats": repeats,
         "python": platform.python_version(),
-        "numpy": getattr(accel.numpy, "__version__", None) if accel.numpy else None,
+        "numpy": numpy.__version__,
         "platform": platform.machine(),
         "chunking": bench_chunking(quick, repeats),
         "count": bench_count(quick, repeats),
@@ -432,7 +417,7 @@ def render_bench(result: dict) -> str:
     service = result["service"]
     lines = [
         f"hot-path bench (quick={result['quick']}, repeats={result['repeats']}, "
-        f"numpy={result['numpy'] or 'absent'})",
+        f"numpy={result['numpy']})",
         (
             f"  chunking: rabin {chunking['rabin']['speedup']:.2f}x "
             f"({chunking['rabin']['fast_mib_per_s']:.0f} MiB/s), "

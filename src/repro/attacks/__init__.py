@@ -46,7 +46,6 @@ from repro.attacks.persistent import (
     persist_columnar_stats,
 )
 from repro.attacks.sharded import (
-    ColumnarArrayStats,
     columnar_attack_report,
     sharded_count,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "load_chunk_stats",
     "persist_chunk_stats",
     "persist_columnar_stats",
-    "ColumnarArrayStats",
     "columnar_attack_report",
     "sharded_count",
     "AdvancedLocalityAttack",

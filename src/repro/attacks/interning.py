@@ -6,28 +6,34 @@ occurrence — six bytes-keyed dict operations per chunk, all driven from a
 Python-level loop. At the multi-million-chunk scale of the journal
 follow-up (Li et al., TDSC'19) that dominates every attack run. This
 module interns fingerprints into dense integer chunk ids once
-(:class:`ChunkVocabulary`) and counts over the id stream with C-level
-primitives only — no per-chunk Python bytecode:
+(:class:`ChunkVocabulary`) and counts the id array with one numpy
+kernel, :func:`count_shard`:
 
-* the id stream itself comes from ``map(ids.__getitem__, fingerprints)``
-  over an interning dict whose ``__missing__`` assigns the next id, so
-  known fingerprints never leave the C dict lookup;
-* frequencies are a ``Counter`` over the id stream (C-accelerated
-  counting, iteration order = stream first occurrence);
-* first-occurrence sizes fall out of ``dict(zip(reversed(ids),
-  reversed(sizes)))`` — the earliest occurrence is written last and wins;
-* the left/right co-occurrence tables collapse into **one** ``Counter``
-  over ``(previous_id, current_id)`` pairs from ``zip(ids, ids[1:])``,
-  from which both directed tables are regrouped on demand.
+* frequencies are one ``bincount`` over the ids, and first-occurrence
+  positions one reversed scatter (the earliest write lands last and
+  wins);
+* the left/right co-occurrence tables are one array of packed
+  ``(previous_id << PAIR_SHIFT) | current_id`` pairs, aggregated by
+  ``unique``;
+* :func:`merge_shards` adds per-shard tables, and one ``argsort`` over
+  first-occurrence positions recovers the reference COUNT's insertion
+  order.
+
+:func:`interned_count` runs the kernel over an in-RAM backup as one
+shard; the sharded columnar COUNT (:mod:`repro.attacks.sharded`) runs it
+per shard of a memory-mapped trace. Both return the one array stats
+class, :class:`InternedArrayStats`. The streaming COUNT's batch loop
+(:class:`InternedCount`, :class:`InternedChunkStats`) keeps its own
+``Counter`` tables, because its backend merge consumes per-batch deltas.
 
 The locality/advanced attacks never decode: they run over the id-level
 surface of :class:`ChunkIdStats` (first-occurrence-ordered id tables,
 per-id neighbor segments, id → size class), and fingerprint-keyed stats
 reach that surface through :func:`as_chunk_id_stats`'s interning
-adapter. :class:`InternedChunkStats` and :class:`InternedArrayStats` also
-expose the same ``frequencies``/``left``/``right``/``sizes`` mapping
-interface as :class:`~repro.attacks.frequency.ChunkStats` through lazy
-views — byte-identical, first-occurrence order included, to
+adapter. The stats also expose the same ``frequencies``/``left``/
+``right``/``sizes`` mapping interface as
+:class:`~repro.attacks.frequency.ChunkStats` through lazy views —
+byte-identical, first-occurrence order included, to
 ``count_with_neighbors`` and ``StreamingCount`` (pinned by the
 equivalence property tests).
 """
@@ -35,12 +41,15 @@ equivalence property tests).
 from __future__ import annotations
 
 import gc
+import time
 from collections import Counter
+from collections.abc import Mapping
 from contextlib import contextmanager
-from itertools import chain
 
-from repro.attacks.frequency import rank_tops
-from repro.common import accel
+import numpy
+
+from repro import obs
+from repro.attacks.frequency import FINGERPRINT, INSERTION, TIE_BREAKS, rank_tops
 from repro.common.errors import ConfigurationError
 from repro.datasets.model import Backup
 
@@ -177,11 +186,12 @@ class ChunkVocabulary:
     intern to ``len(vocabulary) - 1``.
     """
 
-    __slots__ = ("_ids", "_fingerprints")
+    __slots__ = ("_ids", "_fingerprints", "_ranks")
 
     def __init__(self) -> None:
         self._fingerprints: list[bytes] = []
         self._ids = _Interner(self._fingerprints)
+        self._ranks = None
 
     def __len__(self) -> int:
         return len(self._fingerprints)
@@ -204,6 +214,22 @@ class ChunkVocabulary:
     def fingerprint(self, chunk_id: int) -> bytes:
         """The fingerprint bytes behind ``chunk_id``."""
         return self._fingerprints[chunk_id]
+
+    def sort_ranks(self):
+        """Each chunk id's rank in fingerprint-bytes order, as an array
+        (cached until the vocabulary grows).
+
+        A Python sort over the fingerprint list: a numpy ``S`` array
+        strips trailing NUL bytes, so it would rank some fingerprints
+        wrongly.
+        """
+        fingerprints = self._fingerprints
+        if self._ranks is None or len(self._ranks) != len(fingerprints):
+            order = sorted(range(len(fingerprints)), key=fingerprints.__getitem__)
+            ranks = numpy.empty(len(order), dtype=numpy.intp)
+            ranks[order] = numpy.arange(len(order), dtype=numpy.intp)
+            self._ranks = ranks
+        return self._ranks
 
 
 class _NeighborView:
@@ -292,7 +318,7 @@ class ChunkIdStats:
     ``left``/``right`` answer ``segment(id) -> (neighbor ids, counts)`` in
     first-occurrence order. Subclasses provide :meth:`id_table`,
     :meth:`has_id` and :meth:`block_classes`; :meth:`top_ids` ranks the
-    id table (trace-scale stats override it with a vectorized ranking).
+    id table (the array stats override it with a vectorized ranking).
     """
 
     vocabulary: ChunkVocabulary
@@ -446,24 +472,10 @@ class InternedCount:
             )
         if not fingerprints:
             return
-        if accel.numpy is not None:
-            self._ingest_vectorized(fingerprints, chunk_sizes)
-        else:
-            self._ingest_python(fingerprints, chunk_sizes)
-        self._total_chunks += len(fingerprints)
-
-    def _ingest_vectorized(
-        self, fingerprints: list[bytes], chunk_sizes: list[int]
-    ) -> None:
-        """Count the interned id stream with numpy.
-
-        ``numpy.unique(..., return_index=True)`` yields each distinct
-        value's count and first position; re-ordering by first position
-        (``argsort``) recovers the stream-first-occurrence insertion order
-        the reference COUNT produces, so the accumulated counters stay
-        byte-identical to the pure-Python path.
-        """
-        numpy = accel.numpy
+        # ``unique(..., return_index=True)`` yields each distinct value's
+        # count and first position; re-ordering by first position
+        # (``argsort``) recovers the stream-first-occurrence insertion
+        # order the reference COUNT produces.
         ids = self.vocabulary._ids
         id_array = numpy.fromiter(
             map(ids.__getitem__, fingerprints),
@@ -501,29 +513,7 @@ class InternedCount:
                 )
             )
         self._previous = int(id_array[-1])
-
-    def _ingest_python(
-        self, fingerprints: list[bytes], chunk_sizes: list[int]
-    ) -> None:
-        """Fallback ingest built from C-level dict/Counter primitives."""
-        id_stream = self.vocabulary.intern_stream(fingerprints)
-        self._frequency_counts.update(id_stream)
-        # Reversed zip: the earliest occurrence is written last and wins,
-        # giving this batch's first-occurrence size per id in one C pass.
-        batch_sizes = dict(zip(reversed(id_stream), reversed(chunk_sizes)))
-        size_by_id = self._size_by_id
-        for chunk_id, size in batch_sizes.items():
-            if chunk_id not in size_by_id:
-                size_by_id[chunk_id] = size
-        previous = self._previous
-        if previous >= 0:
-            pairs = zip(chain((previous,), id_stream), id_stream)
-        else:
-            pairs = zip(id_stream, id_stream[1:])
-        self._pair_counts.update(
-            [(left << PAIR_SHIFT) | right for left, right in pairs]
-        )
-        self._previous = id_stream[-1]
+        self._total_chunks += len(fingerprints)
 
     def ingest_backup(self, backup: Backup) -> None:
         """Ingest a whole backup's logical chunk sequence."""
@@ -548,9 +538,9 @@ class InternedCount:
         )
 
 
-class _ArrayNeighborView:
+class _ArrayNeighborView(Mapping):
     """Lazy ``fingerprint -> {neighbor fingerprint: count}`` mapping over
-    segment-sorted flat arrays (the numpy single-pass layout).
+    segment-sorted flat arrays.
 
     ``neighbors``/``counts`` are grouped by owning id, each group keeping
     first-occurrence order, and ``starts[id]:starts[id + 1]`` bounds the
@@ -558,8 +548,8 @@ class _ArrayNeighborView:
     one). :meth:`segment` slices it for the id-space attack loop; a
     fingerprint probe decodes the slice (cached per fingerprint). The
     first-occurrence iteration order the reference COUNT would have is
-    recovered lazily from ``ordered_keys`` (owning ids in pair
-    first-occurrence order) only when something iterates the view.
+    recovered lazily from ``owners`` (owning ids in pair first-occurrence
+    order) only when something iterates the view.
     """
 
     __slots__ = (
@@ -567,29 +557,26 @@ class _ArrayNeighborView:
         "_starts",
         "_neighbors",
         "_counts",
-        "_ordered_keys",
-        "_outer_keys",
+        "_owners",
+        "_outer",
         "_decoded",
     )
 
-    def __init__(self, vocabulary, starts, neighbors, counts, ordered_keys):
+    def __init__(self, vocabulary, starts, neighbors, counts, owners):
         self._vocabulary = vocabulary
         self._starts = starts
         self._neighbors = neighbors
         self._counts = counts
-        self._ordered_keys = ordered_keys
-        self._outer_keys: list[int] | None = None
+        self._owners = owners
+        self._outer: list[int] | None = None
         self._decoded: dict[bytes, dict[bytes, int]] = {}
-
-    def _bounds(self, chunk_id: int) -> tuple[int, int]:
-        starts = self._starts
-        if chunk_id + 1 >= len(starts):
-            return 0, 0
-        return starts[chunk_id], starts[chunk_id + 1]
 
     def segment(self, chunk_id: int) -> tuple:
         """``chunk_id``'s neighbor ids and counts, first-occurrence order."""
-        low, high = self._bounds(chunk_id)
+        starts = self._starts
+        if chunk_id + 1 >= len(starts):
+            return _NO_SEGMENT
+        low, high = starts[chunk_id], starts[chunk_id + 1]
         if low == high:
             return _NO_SEGMENT
         return (
@@ -597,273 +584,379 @@ class _ArrayNeighborView:
             self._counts[low:high].tolist(),
         )
 
-    def _decode_segment(self, fingerprint: bytes, chunk_id: int) -> dict[bytes, int] | None:
-        neighbors, counts = self.segment(chunk_id)
+    def __getitem__(self, fingerprint: bytes) -> dict[bytes, int]:
+        decoded = self._decoded.get(fingerprint)
+        if decoded is not None:
+            return decoded
+        chunk_id = self._vocabulary._ids.get(fingerprint)
+        neighbors, counts = (
+            _NO_SEGMENT if chunk_id is None else self.segment(chunk_id)
+        )
         if not neighbors:
-            return None
+            raise KeyError(fingerprint)
         fingerprints = self._vocabulary._fingerprints
         decoded = dict(zip(map(fingerprints.__getitem__, neighbors), counts))
         self._decoded[fingerprint] = decoded
         return decoded
 
-    def _outer(self) -> list[int]:
-        if self._outer_keys is None:
-            ordered = self._ordered_keys
-            if ordered is None:
-                self._outer_keys = []
-            else:
-                self._outer_keys = list(dict.fromkeys(ordered.tolist()))
-        return self._outer_keys
-
-    def get(
-        self, fingerprint: bytes, default: dict[bytes, int] | None = None
-    ) -> dict[bytes, int] | None:
-        decoded = self._decoded.get(fingerprint)
-        if decoded is not None:
-            return decoded
-        chunk_id = self._vocabulary._ids.get(fingerprint)
-        if chunk_id is None:
-            return default
-        decoded = self._decode_segment(fingerprint, chunk_id)
-        return default if decoded is None else decoded
-
-    def __getitem__(self, fingerprint: bytes) -> dict[bytes, int]:
-        table = self.get(fingerprint)
-        if table is None:
-            raise KeyError(fingerprint)
-        return table
-
-    def __contains__(self, fingerprint: bytes) -> bool:
-        chunk_id = self._vocabulary._ids.get(fingerprint)
-        if chunk_id is None:
-            return False
-        low, high = self._bounds(chunk_id)
-        return low != high
+    def _outer_ids(self) -> list[int]:
+        if self._outer is None:
+            owners = self._owners
+            self._outer = (
+                [] if owners is None else list(dict.fromkeys(owners.tolist()))
+            )
+        return self._outer
 
     def __len__(self) -> int:
-        return len(self._outer())
-
-    def keys(self):
-        fingerprints = self._vocabulary._fingerprints
-        return (fingerprints[chunk_id] for chunk_id in self._outer())
+        return len(self._outer_ids())
 
     def __iter__(self):
-        return self.keys()
+        return map(self._vocabulary._fingerprints.__getitem__, self._outer_ids())
 
-    def items(self):
-        fingerprints = self._vocabulary._fingerprints
-        for chunk_id in self._outer():
-            fingerprint = fingerprints[chunk_id]
-            decoded = self._decoded.get(fingerprint)
-            if decoded is None:
-                decoded = self._decode_segment(fingerprint, chunk_id)
-                assert decoded is not None
-            yield fingerprint, decoded
+
+class _RankedValues(Mapping):
+    """``fingerprint -> value`` view of one rank-aligned array of an
+    :class:`InternedArrayStats` (its counts or first-occurrence sizes).
+
+    A probe resolves the fingerprint to its chunk id through the
+    vocabulary, then to its frequency-table rank; nothing per-fingerprint
+    is materialized unless something iterates the view, and iteration
+    follows first-occurrence order like the reference COUNT's dicts.
+    """
+
+    __slots__ = ("_stats", "_values")
+
+    def __init__(self, stats: "InternedArrayStats", values):
+        self._stats = stats
+        self._values = values
+
+    def __getitem__(self, fingerprint: bytes) -> int:
+        stats = self._stats
+        chunk_id = stats.vocabulary._ids.get(fingerprint)
+        rank = -1 if chunk_id is None else stats._rank(chunk_id)
+        if rank < 0:
+            raise KeyError(fingerprint)
+        return int(self._values[rank])
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def __iter__(self):
+        stats = self._stats
+        return map(
+            stats.vocabulary._fingerprints.__getitem__,
+            stats._ordered_ids.tolist(),
+        )
 
 
 class InternedArrayStats(ChunkIdStats):
-    """Single-pass COUNT held in flat numpy-derived arrays.
+    """COUNT output held in flat numpy arrays: what :func:`interned_count`
+    and the sharded columnar COUNT
+    (:func:`repro.attacks.sharded.sharded_count`) both return, built by
+    :func:`merge_shards`.
 
-    The fast path behind :func:`interned_count` when numpy is available:
-    frequencies come from one ``bincount`` over the interned id stream,
-    first-occurrence positions from one reversed scatter (the earliest
-    write lands last and wins), and the packed adjacency pairs stay a raw
-    array until the first neighbor access groups them (``unique`` +
-    two stable segment sorts). Every materialized mapping preserves the
-    reference COUNT's first-occurrence insertion order.
+    ``ordered_ids``/``ordered_counts``/``ordered_first`` are int64 arrays
+    in stream first-occurrence order; ``first_sizes`` holds each id's
+    first-occurrence chunk size aligned with them; ``ordered_pairs``/
+    ``ordered_pair_counts`` are the aggregated packed adjacency pairs in
+    pair-first-occurrence order (``None`` when the stream has no pairs).
+
+    Nothing scales with the table in Python objects: ``frequencies``/
+    ``sizes`` are lazy rank-indexed mappings, the neighbor tables group
+    on first access into segment-sorted arrays that decode per probed
+    fingerprint, and the global FREQ-ANALYSIS ranking (:meth:`top_ids`)
+    sorts the flat arrays. Every mapping iterates in the reference
+    COUNT's first-occurrence order (pinned by the equivalence tests).
     """
 
     def __init__(
         self,
-        vocabulary: ChunkVocabulary,
-        ordered_ids: list[int],
-        ordered_counts: list[int],
-        ordered_first: list[int],
-        chunk_sizes: list[int],
-        packed_pairs,
+        vocabulary,
+        ordered_ids,
+        ordered_counts,
+        ordered_first,
+        first_sizes,
+        ordered_pairs,
+        ordered_pair_counts,
     ):
         self.vocabulary = vocabulary
         self._ordered_ids = ordered_ids
         self._ordered_counts = ordered_counts
         self._ordered_first = ordered_first
-        self._chunk_sizes = chunk_sizes
-        self._packed_pairs = packed_pairs
+        self._first_sizes = first_sizes
+        self._ordered_pairs = ordered_pairs
+        self._ordered_pair_counts = ordered_pair_counts
         self._rank_lookup = None
-        self._frequencies: dict[bytes, int] | None = None
-        self._sizes: dict[bytes, int] | None = None
-        self._left: _ArrayNeighborView | None = None
-        self._right: _ArrayNeighborView | None = None
-
-    @classmethod
-    def count(
-        cls, backup: Backup, vocabulary: ChunkVocabulary | None = None
-    ) -> "InternedArrayStats":
-        numpy = accel.numpy
-        vocabulary = vocabulary if vocabulary is not None else ChunkVocabulary()
-        check_vocabulary_capacity(len(vocabulary))
-        fingerprints = backup.fingerprints
-        total = len(fingerprints)
-        if not total:
-            return cls(vocabulary, [], [], [], [], None)
-        ids = vocabulary._ids
-        with _gc_paused():
-            id_array = numpy.fromiter(
-            map(ids.__getitem__, fingerprints),
-                dtype=numpy.intp,
-                count=total,
-            )
-            counts = numpy.bincount(id_array, minlength=len(vocabulary))
-            # Reversed scatter: the earliest occurrence is written last
-            # and wins, giving each id's first stream position in one
-            # pass.
-            first = numpy.zeros(len(counts), dtype=numpy.intp)
-            first[id_array[::-1]] = numpy.arange(total - 1, -1, -1)
-            present = numpy.flatnonzero(counts)
-            order = present[numpy.argsort(first[present])]
-            packed = None
-            if total > 1:
-                unsigned = id_array.astype(numpy.uint64)
-                packed = (unsigned[:-1] << numpy.uint64(PAIR_SHIFT)) | unsigned[1:]
-        return cls(
-            vocabulary,
-            order.tolist(),
-            counts[order].tolist(),
-            first[order].tolist(),
-            backup.sizes,
-            packed,
-        )
+        self._tie_orders: dict[str, object] = {}
+        self._neighbors: tuple | None = None
 
     @property
     def unique_chunks(self) -> int:
         return len(self._ordered_ids)
 
-    def _rank_of(self):
-        """Chunk id → frequency-table rank (-1 if absent), built lazily."""
-        if self._rank_lookup is None:
-            numpy = accel.numpy
-            lookup = numpy.full(
-                max(len(self.vocabulary), 1), -1, dtype=numpy.int64
-            )
-            lookup[self._ordered_ids] = numpy.arange(
-                len(self._ordered_ids), dtype=numpy.int64
-            )
+    def _rank(self, chunk_id: int) -> int:
+        """``chunk_id``'s frequency-table rank, or -1 if it is absent."""
+        lookup = self._rank_lookup
+        if lookup is None:
+            lookup = numpy.full(len(self.vocabulary), -1, dtype=numpy.int64)
+            lookup[self._ordered_ids] = numpy.arange(len(self._ordered_ids))
             self._rank_lookup = lookup
-        return self._rank_lookup
+        return int(lookup[chunk_id]) if 0 <= chunk_id < len(lookup) else -1
 
     def id_table(self) -> tuple:
         return self._ordered_ids, self._ordered_counts
 
     def has_id(self, chunk_id: int) -> bool:
-        lookup = self._rank_of()
-        return chunk_id < len(lookup) and lookup[chunk_id] >= 0
-
-    def _sizes_by_id(self):
-        """Chunk id → first-occurrence size, as one vocabulary-wide array."""
-        numpy = accel.numpy
-        sizes = numpy.zeros(max(len(self.vocabulary), 1), dtype=numpy.int64)
-        sizes[self._ordered_ids] = [
-            self._chunk_sizes[index] for index in self._ordered_first
-        ]
-        return sizes
+        return self._rank(chunk_id) >= 0
 
     def block_classes(self, block_size: int, is_plaintext: bool):
-        classes = self._sizes_by_id() // block_size
+        sizes = numpy.zeros(len(self.vocabulary), dtype=numpy.int64)
+        sizes[self._ordered_ids] = self._first_sizes
+        classes = sizes // block_size
         return classes + 1 if is_plaintext else classes
 
     @property
-    def frequencies(self) -> dict[bytes, int]:
-        if self._frequencies is None:
-            fingerprints = self.vocabulary._fingerprints
-            with _gc_paused():
-                self._frequencies = {
-                    fingerprints[chunk_id]: count
-                    for chunk_id, count in zip(
-                        self._ordered_ids, self._ordered_counts
-                    )
-                }
-        return self._frequencies
+    def frequencies(self) -> Mapping:
+        return _RankedValues(self, self._ordered_counts)
 
     @property
-    def sizes(self) -> dict[bytes, int]:
-        if self._sizes is None:
-            fingerprints = self.vocabulary._fingerprints
-            chunk_sizes = self._chunk_sizes
-            with _gc_paused():
-                self._sizes = {
-                    fingerprints[chunk_id]: chunk_sizes[index]
-                    for chunk_id, index in zip(
-                        self._ordered_ids, self._ordered_first
-                    )
-                }
-        return self._sizes
-
-    def _group_pairs(self) -> None:
-        numpy = accel.numpy
-        packed = self._packed_pairs
-        ordered_pairs = ordered_counts = None
-        with _gc_paused():
-            if packed is not None and len(packed):
-                unique_pairs, first_index, counts = numpy.unique(
-                    packed, return_index=True, return_counts=True
-                )
-                order = numpy.argsort(first_index)
-                ordered_pairs, ordered_counts = unique_pairs[order], counts[order]
-            self._left, self._right = segment_neighbor_views(
-                numpy, self.vocabulary, ordered_pairs, ordered_counts
-            )
+    def sizes(self) -> Mapping:
+        return _RankedValues(self, self._first_sizes)
 
     @property
     def left(self) -> _ArrayNeighborView:
-        if self._left is None:
-            self._group_pairs()
-        assert self._left is not None
-        return self._left
+        return self._neighbor_views()[0]
 
     @property
     def right(self) -> _ArrayNeighborView:
-        if self._right is None:
-            self._group_pairs()
-        assert self._right is not None
-        return self._right
+        return self._neighbor_views()[1]
 
+    def _neighbor_views(self) -> tuple:
+        """The two directed neighbor views ``(left, right)``, grouped from
+        the packed pairs on first access.
 
-def segment_neighbor_views(
-    numpy, vocabulary, ordered_pairs, ordered_counts
-) -> tuple[_ArrayNeighborView, _ArrayNeighborView]:
-    """Build the two directed neighbor views ``(left, right)`` from packed
-    pairs that are already aggregated and in pair-first-occurrence order
-    (``None`` when the stream has no pairs).
+        Stable segment sorts keep the first-occurrence suborder within
+        each segment, and a cumulative ``bincount`` over the owning ids
+        gives every segment's bounds; the pre-sort id arrays carry the
+        outer first-occurrence order for (lazy) iteration. Nothing becomes
+        a boxed int per pair, so the layout holds at trace scale.
+        """
+        if self._neighbors is not None:
+            return self._neighbors
+        vocabulary = self.vocabulary
+        pairs = self._ordered_pairs
+        if pairs is None:
+            empty = _ArrayNeighborView(vocabulary, (), None, None, None)
+            self._neighbors = (empty, empty)
+            return self._neighbors
+        size = len(vocabulary)
+        counts = self._ordered_pair_counts
 
-    Stable segment sorts keep the first-occurrence suborder within each
-    segment, and a cumulative ``bincount`` over the owning ids gives every
-    segment's bounds; the pre-sort id arrays carry the outer
-    first-occurrence order for (lazy) iteration. Nothing becomes a boxed
-    int per pair, so the layout holds at trace scale.
-    """
-    if ordered_pairs is None or not len(ordered_pairs):
-        return (
-            _ArrayNeighborView(vocabulary, (), None, None, None),
-            _ArrayNeighborView(vocabulary, (), None, None, None),
-        )
-    previous_ids = (ordered_pairs >> numpy.uint64(PAIR_SHIFT)).astype(numpy.intp)
-    current_ids = (ordered_pairs & numpy.uint64(_PAIR_MASK)).astype(numpy.intp)
-    vocabulary_size = len(vocabulary)
+        def view(owners, neighbors):
+            starts = numpy.zeros(size + 1, dtype=numpy.intp)
+            numpy.cumsum(numpy.bincount(owners, minlength=size), out=starts[1:])
+            segments = numpy.argsort(owners, kind="stable")
+            return _ArrayNeighborView(
+                vocabulary, starts, neighbors[segments], counts[segments], owners
+            )
 
-    def view(owners, neighbors):
-        starts = numpy.zeros(vocabulary_size + 1, dtype=numpy.intp)
-        numpy.cumsum(
-            numpy.bincount(owners, minlength=vocabulary_size), out=starts[1:]
-        )
-        segments = numpy.argsort(owners, kind="stable")
-        return _ArrayNeighborView(
+        with _gc_paused():
+            previous_ids = (pairs >> numpy.uint64(PAIR_SHIFT)).astype(numpy.intp)
+            current_ids = (pairs & numpy.uint64(_PAIR_MASK)).astype(numpy.intp)
+            self._neighbors = (
+                view(current_ids, previous_ids),
+                view(previous_ids, current_ids),
+            )
+        return self._neighbors
+
+    def _tie_order(self, tie_break: str):
+        """The full frequency ranking as index positions into the
+        ordered arrays, under ``tie_break`` (cached).
+
+        ``insertion``: the arrays are already in first-occurrence order,
+        so a stable sort on descending count reproduces
+        :func:`~repro.attacks.frequency.rank_by_frequency` exactly.
+        ``fingerprint``: ties order by fingerprint bytes, through the
+        vocabulary's sort ranks without decoding.
+        """
+        cached = self._tie_orders.get(tie_break)
+        if cached is not None:
+            return cached
+        counts = self._ordered_counts
+        if tie_break == INSERTION:
+            order = numpy.argsort(-counts, kind="stable")
+        elif tie_break == FINGERPRINT:
+            ranks = self.vocabulary.sort_ranks()[self._ordered_ids]
+            order = numpy.lexsort((ranks, -counts))
+        else:
+            raise ValueError(
+                f"unknown tie_break {tie_break!r}; use one of {TIE_BREAKS}"
+            )
+        self._tie_orders[tie_break] = order
+        return order
+
+    def top_ids(self, limit: int | None, tie_break: str, classes=None) -> dict:
+        """:meth:`ChunkIdStats.top_ids` as array sorts.
+
+        Because a stable sort of a subsequence equals the stably-sorted
+        full sequence filtered to it, slicing the global ranking by class
+        reproduces exactly the per-class ranking
+        :func:`~repro.attacks.frequency.rank_tops` computes over class
+        buckets.
+        """
+        if not len(self._ordered_ids):
+            return {}
+        ranked = self._ordered_ids[self._tie_order(tie_break)]
+        if classes is None:
+            return {None: ranked[:limit].tolist()}
+        ranked_classes = classes[ranked]
+        class_order = numpy.argsort(ranked_classes, kind="stable")
+        sorted_classes = ranked_classes[class_order]
+        boundaries = (
+            numpy.flatnonzero(sorted_classes[1:] != sorted_classes[:-1]) + 1
+        ).tolist()
+        tops: dict[int, list[int]] = {}
+        for low, high in zip([0, *boundaries], [*boundaries, len(ranked)]):
+            take = high - low if limit is None else min(limit, high - low)
+            tops[int(sorted_classes[low])] = ranked[
+                class_order[low : low + take]
+            ].tolist()
+        return tops
+
+    def top_ranked(
+        self, limit: int | None = None, tie_break: str = INSERTION
+    ) -> list[bytes]:
+        """The ``limit`` top-frequency fingerprints, identical to
+        ``rank_by_frequency(self.frequencies, tie_break)[:limit]`` but
+        decoding only the returned prefix."""
+        fingerprints = self.vocabulary._fingerprints
+        return [
+            fingerprints[chunk_id]
+            for chunk_id in self.top_ids(limit, tie_break).get(None, [])
+        ]
+
+    def with_vocabulary(self, vocabulary, first_sizes) -> "InternedArrayStats":
+        """The same counted stream under another fingerprint decode.
+
+        A deterministic per-chunk encryption maps the plaintext id stream
+        to the ciphertext id stream unchanged, so the ciphertext COUNT
+        *is* this COUNT — only the vocabulary (ciphertext fingerprints)
+        and the per-chunk sizes (padded) differ. Sharing the arrays makes
+        deriving the ciphertext stats O(unique), not a second pass.
+        """
+        return InternedArrayStats(
             vocabulary,
-            starts,
-            neighbors[segments],
-            ordered_counts[segments],
-            owners,
+            self._ordered_ids,
+            self._ordered_counts,
+            self._ordered_first,
+            first_sizes,
+            self._ordered_pairs,
+            self._ordered_pair_counts,
         )
 
-    return view(current_ids, previous_ids), view(previous_ids, current_ids)
+
+def count_shard(ids, start: int, stop: int, lead: int, vocab_size: int) -> tuple:
+    """COUNT one contiguous shard of an id stream: the one counting kernel
+    behind :func:`interned_count` (a whole backup as one shard) and the
+    sharded columnar COUNT's workers.
+
+    ``ids`` holds the ids at stream positions ``[start - lead, stop)``. A
+    shard after the first reads one *lead* id before its range, so the
+    boundary adjacency pair is counted by exactly one shard; the lead id
+    itself stays out of the frequency/first tables (the previous shard
+    counts it). Returns ``(present ids, counts, first positions, unique
+    packed pairs, pair first positions, pair counts)``; the pair arrays
+    are ``None`` when the shard holds no pair.
+    """
+    counted = ids[lead:].astype(numpy.intp)
+    counts = numpy.bincount(counted, minlength=vocab_size)
+    # Reversed scatter: the earliest occurrence is written last and wins.
+    first = numpy.zeros(vocab_size, dtype=numpy.int64)
+    first[counted[::-1]] = numpy.arange(stop - 1, start - 1, -1, dtype=numpy.int64)
+    present = numpy.flatnonzero(counts)
+    pairs = pair_first = pair_counts = None
+    if len(ids) > 1:
+        wide = ids.astype(numpy.uint64)
+        packed = (wide[:-1] << numpy.uint64(PAIR_SHIFT)) | wide[1:]
+        pairs, first_index, pair_counts = numpy.unique(
+            packed, return_index=True, return_counts=True
+        )
+        pair_first = first_index.astype(numpy.int64) + (start - lead)
+    return (
+        present.astype(numpy.int64),
+        counts[present].astype(numpy.int64),
+        first[present],
+        pairs,
+        pair_first,
+        pair_counts,
+    )
+
+
+def merge_shards(vocabulary, results: list, total: int, sizes) -> InternedArrayStats:
+    """Merge :func:`count_shard` outputs (in stream order) into one
+    :class:`InternedArrayStats` over ``vocabulary``.
+
+    Frequencies and pair counts add; first-occurrence positions take the
+    minimum (shard positions are global stream positions). First
+    positions are unique stream indices, so one ``argsort`` over them is
+    exactly the insertion sequence of a single-threaded COUNT — which is
+    why the output is the same at any shard count. ``sizes`` is the
+    stream's chunk-size array, indexed by position; ``total`` is the
+    stream length.
+    """
+    vocab_size = len(vocabulary)
+    counts = numpy.zeros(vocab_size, dtype=numpy.int64)
+    # ``total`` is a sentinel above every real stream position.
+    first = numpy.full(vocab_size, total, dtype=numpy.int64)
+    pair_parts, pair_first_parts, pair_count_parts = [], [], []
+    for present, shard_counts, shard_first, pairs, pair_first, pair_counts in results:
+        counts[present] += shard_counts
+        # ``present`` is duplicate-free within a shard, so fancy-index
+        # assignment (not ``minimum.at``) is safe.
+        first[present] = numpy.minimum(first[present], shard_first)
+        if pairs is not None:
+            pair_parts.append(pairs)
+            pair_first_parts.append(pair_first)
+            pair_count_parts.append(pair_counts)
+    present = numpy.flatnonzero(counts)
+    argsort_started = time.perf_counter()
+    order = present[numpy.argsort(first[present], kind="stable")]
+    obs.observe(
+        "count.shard.phase_s", time.perf_counter() - argsort_started,
+        phase="argsort",
+    )
+    ordered_pairs = ordered_pair_counts = None
+    if pair_parts:
+        if len(pair_parts) == 1:
+            # One shard's pairs come out of ``unique`` already aggregated.
+            unique_pairs = pair_parts[0]
+            agg_counts = pair_count_parts[0]
+            agg_first = pair_first_parts[0]
+        else:
+            unique_pairs, inverse = numpy.unique(
+                numpy.concatenate(pair_parts), return_inverse=True
+            )
+            agg_counts = numpy.zeros(len(unique_pairs), dtype=numpy.int64)
+            numpy.add.at(
+                agg_counts, inverse, numpy.concatenate(pair_count_parts)
+            )
+            agg_first = numpy.full(len(unique_pairs), total, dtype=numpy.int64)
+            numpy.minimum.at(
+                agg_first, inverse, numpy.concatenate(pair_first_parts)
+            )
+        pair_order = numpy.argsort(agg_first, kind="stable")
+        ordered_pairs = unique_pairs[pair_order]
+        ordered_pair_counts = agg_counts[pair_order]
+    ordered_first = first[order]
+    return InternedArrayStats(
+        vocabulary,
+        order,
+        counts[order],
+        ordered_first,
+        sizes[ordered_first].astype(numpy.int64),
+        ordered_pairs,
+        ordered_pair_counts,
+    )
 
 
 class _InterningNeighbors:
@@ -928,21 +1021,27 @@ def as_chunk_id_stats(stats) -> ChunkIdStats:
     return _InterningAdapter(stats)
 
 
-def interned_count(backup: Backup, vocabulary: ChunkVocabulary | None = None):
+def interned_count(
+    backup: Backup, vocabulary: ChunkVocabulary | None = None
+) -> InternedArrayStats:
     """The locality-based attacks' COUNT (Algorithm 2's COUNT),
     byte-identical to
     :func:`~repro.attacks.frequency.count_with_neighbors` through the
     ChunkStats-compatible lazy views.
 
-    With numpy this is the vectorized single-pass
-    :class:`InternedArrayStats`; without it the reference COUNT itself
-    runs (interning pays off through vectorized counting — the
-    pure-Python :class:`InternedCount` exists for the streaming COUNT's
-    batch deltas, where the backend dominates, not to beat the reference
-    dict loop at attack scale).
+    The backup interns into one id array, which :func:`count_shard`
+    counts as a single shard and :func:`merge_shards` orders — the same
+    kernel and merge the sharded columnar COUNT runs.
     """
-    if accel.numpy is not None:
-        return InternedArrayStats.count(backup, vocabulary)
-    from repro.attacks.frequency import count_with_neighbors
-
-    return count_with_neighbors(backup)
+    vocabulary = vocabulary if vocabulary is not None else ChunkVocabulary()
+    check_vocabulary_capacity(len(vocabulary))
+    total = len(backup.fingerprints)
+    with _gc_paused():
+        ids = numpy.fromiter(
+            map(vocabulary._ids.__getitem__, backup.fingerprints),
+            dtype=numpy.intp,
+            count=total,
+        )
+        shard = count_shard(ids, 0, total, 0, len(vocabulary))
+        sizes = numpy.fromiter(backup.sizes, dtype=numpy.int64, count=total)
+        return merge_shards(vocabulary, [shard], total, sizes)

@@ -10,21 +10,15 @@ whole buffer at once — independent of the sequential cut walk — with a
 handful of table gathers over a 16-bit byte-pair key stream, after which
 cut selection is a cheap walk over the (sparse) candidate list.
 
-This module holds the shared, dependency-gated plumbing; the per-
-algorithm table construction lives next to each chunker. NumPy is an
-optional accelerator: when it is not importable the chunkers fall back
-to their pure-Python skip-ahead loops, with identical output (pinned by
-the fastpath-vs-reference property tests).
+This module holds the shared numpy plumbing; the per-algorithm table
+construction lives next to each chunker. The scans are byte-identical to
+each chunker's ``cut_points_reference`` (pinned by the
+fastpath-vs-reference property tests).
 """
 
 from __future__ import annotations
 
-from repro.common.accel import numpy
-
-
-def available() -> bool:
-    """Whether the vectorized scan path can run."""
-    return numpy is not None
+import numpy
 
 
 def pair_key_stream(data: bytes) -> "numpy.ndarray":

@@ -14,18 +14,20 @@ size distributions.
 :meth:`GearChunker.cut_points` exploits the bounded effective width: the
 boundary test reads only ``mask.bit_length()`` low bits, whose carries
 propagate strictly upward, so the test value at every position is a
-position-local sum over the trailing ``mask.bit_length()`` bytes — either
-vectorized for the whole buffer (byte-pair table gathers, when numpy is
-available) or scanned with a skip-ahead loop whose warm-up feeds only that
-many bytes. Both are byte-identical to
-:meth:`GearChunker.cut_points_reference`, the pre-optimization loop kept as
-the equivalence oracle.
+position-local sum over the trailing ``mask.bit_length()`` bytes,
+vectorized for the whole buffer with byte-pair table gathers. It is
+byte-identical to :meth:`GearChunker.cut_points_reference`, the
+pre-optimization loop kept as the equivalence oracle (and the path for
+degenerate tiny specs).
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from functools import lru_cache
+
+import numpy
 
 from repro.chunking import fastscan
 from repro.chunking.base import Chunker, ChunkerSpec
@@ -49,7 +51,6 @@ def _gear_scan_tables(table_seed: int, mask: int):
     stream is an overflow-wrapping sum of ``ceil(mask_bits / 2)`` pair
     gathers, each keyed on ``(data[j] << 8) | data[j - 1]``.
     """
-    numpy = fastscan.numpy
     mask_bits = mask.bit_length()
     dtype = fastscan.mask_dtype(mask)
     width_mask = (1 << (8 * dtype.itemsize)) - 1
@@ -102,22 +103,15 @@ class GearChunker(Chunker):
             return [length]
         # The vectorized scan pairs warm bytes two at a time, so it needs
         # the paired warm span to fit inside the min-size prefix (always
-        # true for real specs; degenerate tiny specs take the scan loop).
-        if (
-            fastscan.numpy is not None
-            and self._warm_width > 0
-            and min_size >= 2 * ((self._warm_width + 1) // 2)
-        ):
-            return self._cut_points_vectorized(data)
-        return self._cut_points_skip_ahead(data)
+        # true for real specs; degenerate tiny specs take the reference).
+        if self._warm_width == 0 or min_size < 2 * ((self._warm_width + 1) // 2):
+            return self.cut_points_reference(data)
+        return self._cut_points_vectorized(data)
 
-    # -- fast paths -----------------------------------------------------------
+    # -- fast path ------------------------------------------------------------
 
     def _cut_points_vectorized(self, data: bytes) -> list[int]:
         """Whole-buffer candidate scan (numpy), then the cut walk."""
-        numpy = fastscan.numpy
-        from bisect import bisect_left
-
         spec = self.spec
         mask = spec.mask
         pair_tables = _gear_scan_tables(self._table_seed, mask)
@@ -155,45 +149,6 @@ class GearChunker(Chunker):
                 cut = candidates[index] + 1
             else:
                 # No content boundary: forced cut at max_size, or the tail.
-                cut = end
-            cuts.append(cut)
-            start = cut
-        return cuts
-
-    def _cut_points_skip_ahead(self, data: bytes) -> list[int]:
-        """Pure-Python fallback: per-chunk scan warming only the effective
-        hash width."""
-        spec = self.spec
-        gear = self._gear
-        mask = spec.mask
-        min_size = spec.min_size
-        max_size = spec.max_size
-        warm_width = self._warm_width
-
-        cuts: list[int] = []
-        length = len(data)
-        start = 0
-        while start < length:
-            end = min(start + max_size, length)
-            # Skip the first min_size bytes: no boundary may fall there, and
-            # the low mask bits the boundary test reads are fully determined
-            # by the warm_width bytes fed below.
-            pos = start + min_size
-            if pos >= end:
-                cuts.append(end)
-                start = end
-                continue
-            hash_value = 0
-            for byte in data[max(start, pos - warm_width) : pos]:
-                hash_value = ((hash_value << 1) + gear[byte]) & _MASK64
-            cut = 0
-            for byte in data[pos:end]:
-                hash_value = ((hash_value << 1) + gear[byte]) & _MASK64
-                pos += 1
-                if hash_value & mask == 0:
-                    cut = pos
-                    break
-            if not cut:
                 cut = end
             cuts.append(cut)
             start = cut

@@ -11,27 +11,26 @@ The implementation is a faithful polynomial-arithmetic version (table-driven,
 as in LBFS) rather than an approximation; :class:`RabinRolling` exposes the
 raw rolling fingerprint so tests can check it against a naive recomputation.
 
-:meth:`RabinChunker.cut_points` is a fast path that exploits two facts the
-byte-at-a-time loop ignores:
+:meth:`RabinChunker.cut_points` is a fast path that exploits a fact the
+byte-at-a-time loop ignores: once the window is full, the fingerprint at
+position ``i`` depends only on ``data[i - window + 1 : i + 1]`` — not on
+the chunk start — so the boundary test for *every* position can be
+evaluated in one vectorized pass (GF(2) linearity turns it into XORs of
+byte-pair table gathers), after which cut selection is a walk over the
+sparse candidate list that skips each chunk's ``min_size`` prefix.
 
-* no boundary may fall inside the ``min_size`` prefix of a chunk, so after
-  each cut the scan can *skip ahead* to ``min_size - window`` and warm the
-  rolling state over exactly one window;
-* once the window is full, the fingerprint at position ``i`` depends only on
-  ``data[i - window + 1 : i + 1]`` — not on the chunk start — so the
-  boundary test for *every* position can be evaluated in one vectorized
-  pass (GF(2) linearity turns it into XORs of byte-pair table gathers),
-  after which cut selection is a walk over the sparse candidate list.
-
-Both fast paths produce boundaries byte-identical to
+The fast path produces boundaries byte-identical to
 :meth:`RabinChunker.cut_points_reference`, which stays as the equivalence
-oracle for the property tests.
+oracle for the property tests and serves specs whose window does not fit
+inside the min-size prefix.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from functools import lru_cache
+
+import numpy
 
 from repro.chunking import fastscan
 from repro.chunking.base import Chunker, ChunkerSpec
@@ -111,7 +110,6 @@ def _rabin_scan_tables(polynomial: int, window: int, mask: int):
     whole test stream needs only ``window // 2`` gathers (plus one 256-way
     gather when the window is odd).
     """
-    numpy = fastscan.numpy
     dtype = fastscan.mask_dtype(mask)
     byte_tables = [
         numpy.array(
@@ -162,25 +160,20 @@ class RabinChunker(Chunker):
         length = len(data)
         if not length:
             return []
-        window = self.rolling.window
         min_size = self.spec.min_size
-        # The skip-ahead warm-up replays exactly one full window before the
-        # first eligible boundary, which requires the window (plus the byte
-        # it evicts) to fit inside the min-size prefix.
-        if min_size <= window:
+        # The scan tests only positions with a full window, so the window
+        # (plus the byte it evicts) must fit inside the min-size prefix.
+        if min_size <= self.rolling.window:
             return self.cut_points_reference(data)
         if length <= min_size:
             # Single short chunk: the only possible cut is at the end.
             return [length]
-        if fastscan.numpy is not None:
-            return self._cut_points_vectorized(data)
-        return self._cut_points_skip_ahead(data)
+        return self._cut_points_vectorized(data)
 
-    # -- fast paths -----------------------------------------------------------
+    # -- fast path ------------------------------------------------------------
 
     def _cut_points_vectorized(self, data: bytes) -> list[int]:
         """Whole-buffer candidate scan (numpy), then the cut walk."""
-        numpy = fastscan.numpy
         rolling = self.rolling
         window = rolling.window
         spec = self.spec
@@ -227,67 +220,11 @@ class RabinChunker(Chunker):
             start = cut
         return cuts
 
-    def _cut_points_skip_ahead(self, data: bytes) -> list[int]:
-        """Pure-Python fallback: per-chunk skip-ahead scan."""
-        spec = self.spec
-        rolling = self.rolling
-        window = rolling.window
-        min_size = spec.min_size
-        max_size = spec.max_size
-        mask = spec.mask
-        magic = self.magic
-        mod_table = rolling._mod_table
-        out_table = rolling._out_table
-        fp_mask = rolling._fp_mask
-        shift = rolling._shift
-
-        cuts: list[int] = []
-        length = len(data)
-        start = 0
-        while start < length:
-            if length - start <= min_size:
-                # Tail no longer than min_size: the only possible cut is
-                # at the end of the data either way.
-                cuts.append(length)
-                break
-            limit = start + max_size
-            if limit > length:
-                limit = length
-            # First eligible boundary position (cut after this byte gives a
-            # min_size chunk). The fingerprint there covers only the last
-            # `window` bytes, so warm the rolling state over exactly that
-            # window and skip the min-size prefix entirely.
-            first = start + min_size - 1
-            fingerprint = 0
-            for byte in data[first - window : first]:
-                fingerprint = (
-                    ((fingerprint << 8) | byte) & fp_mask
-                ) ^ mod_table[fingerprint >> shift]
-            cut = 0
-            pos = first
-            for byte, outgoing in zip(
-                data[first:limit], data[first - window : limit - window]
-            ):
-                fingerprint = (
-                    (((fingerprint << 8) | byte) & fp_mask)
-                    ^ mod_table[fingerprint >> shift]
-                    ^ out_table[outgoing]
-                )
-                pos += 1
-                if fingerprint & mask == magic:
-                    cut = pos
-                    break
-            if not cut:
-                cut = limit
-            cuts.append(cut)
-            start = cut
-        return cuts
-
     # -- reference ------------------------------------------------------------
 
     def cut_points_reference(self, data: bytes) -> list[int]:
         """Byte-at-a-time reference implementation (the equivalence oracle
-        for :meth:`cut_points`, and the fallback when the rolling window
+        for :meth:`cut_points`, and the path for specs whose rolling window
         does not fit inside the min-size prefix)."""
         spec = self.spec
         rolling = self.rolling

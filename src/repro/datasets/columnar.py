@@ -36,14 +36,14 @@ from __future__ import annotations
 import json
 import mmap
 import os
-import struct
 import sys
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
-from repro.common import accel
+import numpy
+
 from repro.common.errors import ConfigurationError
 from repro.common.rng import rng_from
 from repro.datasets.model import Backup, BackupSeries
@@ -139,27 +139,23 @@ class _PackedFingerprints:
 class _FingerprintIndex:
     """Reverse ``fingerprint -> id`` probe over packed fingerprints.
 
-    With numpy the packed buffer is viewed as zero-padded big-endian
-    ``uint64`` word columns (for equal-length byte strings that view
-    compares exactly like the bytes; numpy's ``S`` dtype would strip
-    trailing NULs) and lexsorted **once**; a probe is two C-level
-    ``searchsorted`` calls on the leading word plus a short scan — no
-    per-fingerprint Python objects are ever built. The pure-Python
-    fallback materializes a dict lazily on first probe (correct, but
-    RAM-bound — trace scale assumes the accelerated path).
+    The packed buffer is viewed as zero-padded big-endian ``uint64`` word
+    columns (for equal-length byte strings that view compares exactly
+    like the bytes; numpy's ``S`` dtype would strip trailing NULs) and
+    lexsorted **once**; a probe is two C-level ``searchsorted`` calls on
+    the leading word plus a short scan — no per-fingerprint Python
+    objects are ever built.
     """
 
-    __slots__ = ("_fingerprints", "_order", "_columns", "_dict", "_ranks")
+    __slots__ = ("_fingerprints", "_order", "_columns", "_ranks")
 
     def __init__(self, fingerprints: _PackedFingerprints):
         self._fingerprints = fingerprints
         self._order = None
         self._columns: tuple | None = None
-        self._dict: dict[bytes, int] | None = None
         self._ranks = None
 
     def _word_matrix(self):
-        numpy = accel.numpy
         packed = self._fingerprints
         width, count = packed._width, packed._length
         words = max(1, (width + 7) // 8)
@@ -175,7 +171,6 @@ class _FingerprintIndex:
     def _ensure_sorted(self) -> None:
         if self._columns is not None:
             return
-        numpy = accel.numpy
         if not len(self._fingerprints):
             self._order = numpy.empty(0, dtype=numpy.intp)
             self._columns = (numpy.empty(0, dtype=numpy.uint64),)
@@ -196,11 +191,10 @@ class _FingerprintIndex:
         The inverse permutation of the lexsort order: comparing two ids'
         ranks compares their fingerprint bytes without decoding either —
         what the trace-scale attacks use for ``fingerprint`` tie-breaking
-        and leakage sampling. Accelerated path only.
+        and leakage sampling.
         """
         if self._ranks is None:
             self._ensure_sorted()
-            numpy = accel.numpy
             assert self._order is not None
             count = len(self._fingerprints)
             ranks = numpy.empty(count, dtype=numpy.intp)
@@ -213,11 +207,6 @@ class _FingerprintIndex:
         count = len(self._fingerprints)
         if count < 2:
             return False
-        if accel.numpy is None:
-            self._ensure_dict()
-            assert self._dict is not None
-            return len(self._dict) < count
-        numpy = accel.numpy
         self._ensure_sorted()
         assert self._columns is not None
         equal = numpy.ones(count - 1, dtype=bool)
@@ -225,25 +214,13 @@ class _FingerprintIndex:
             equal &= column[1:] == column[:-1]
         return bool(equal.any())
 
-    def _ensure_dict(self) -> None:
-        if self._dict is None:
-            self._dict = {
-                fingerprint: index
-                for index, fingerprint in enumerate(self._fingerprints)
-            }
-
     def get(self, fingerprint: bytes, default: int | None = None) -> int | None:
         packed = self._fingerprints
         if len(fingerprint) != packed._width or not packed._length:
             return default
-        if accel.numpy is None:
-            self._ensure_dict()
-            assert self._dict is not None
-            return self._dict.get(fingerprint, default)
         self._ensure_sorted()
         assert self._columns is not None and self._order is not None
         columns = self._columns
-        numpy = accel.numpy
         padded = fingerprint + b"\x00" * (-len(fingerprint) % 8)
         # uint64 scalars, not Python ints: searchsorted's int->uint64
         # scalar conversion costs ~60x the binary search itself.
@@ -271,8 +248,9 @@ class PackedVocabulary:
     """Read-only vocabulary over packed fingerprint bytes.
 
     Duck-types :class:`~repro.attacks.interning.ChunkVocabulary`'s read
-    surface (``_fingerprints`` / ``_ids`` / ``id_of`` / ``fingerprint``),
-    which is all the interned COUNT stats and neighbor views touch.
+    surface (``_fingerprints`` / ``_ids`` / ``id_of`` / ``fingerprint`` /
+    ``sort_ranks``), which is all the interned COUNT stats and neighbor
+    views touch.
     """
 
     __slots__ = ("_fingerprints", "_ids", "fingerprint_bytes")
@@ -295,6 +273,10 @@ class PackedVocabulary:
 
     def fingerprint(self, chunk_id: int) -> bytes:
         return self._fingerprints[chunk_id]
+
+    def sort_ranks(self):
+        """Each chunk id's rank in fingerprint-bytes order, as an array."""
+        return self._ids.sort_ranks()
 
 
 class MappedVocabulary(PackedVocabulary):
@@ -587,43 +569,14 @@ class ColumnarBackupView:
     def num_chunks(self) -> int:
         return self.span.num_chunks
 
-    def ids_array(self):
-        """The backup's id column as a zero-copy ``uint32`` numpy array."""
-        numpy = accel.numpy
-        return numpy.frombuffer(
-            self.trace._ids_map,
-            dtype="<u4",
-            count=self.num_chunks,
-            offset=self.start * 4,
-        )
-
     def sizes_array(self):
         """The backup's size column as a zero-copy ``uint32`` numpy array."""
-        numpy = accel.numpy
         return numpy.frombuffer(
             self.trace._sizes_map,
             dtype="<u4",
             count=self.num_chunks,
             offset=self.start * 4,
         )
-
-    def ids(self) -> array:
-        """The id column as an ``array('I')`` (pure-Python consumers)."""
-        return _u32_array(
-            self.trace._ids_map[self.start * 4 : self.stop * 4]
-        )
-
-    def sizes(self) -> array:
-        return _u32_array(
-            self.trace._sizes_map[self.start * 4 : self.stop * 4]
-        )
-
-    def size_at(self, position: int) -> int:
-        """One chunk's size by view-relative stream position."""
-        if position < 0 or position >= self.num_chunks:
-            raise IndexError(position)
-        offset = (self.start + position) * 4
-        return struct.unpack_from("<I", self.trace._sizes_map, offset)[0]
 
     def iter_batches(
         self, batch_size: int = 64 * 1024

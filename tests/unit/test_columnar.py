@@ -8,7 +8,7 @@ every seam:
 * :func:`~repro.attacks.sharded.sharded_count` at any ``jobs`` value
   equals :func:`~repro.attacks.frequency.count_with_neighbors` and
   :func:`~repro.attacks.interning.interned_count` — tables *and*
-  iteration order — under both accel modes;
+  iteration order;
 * :func:`~repro.attacks.sharded.columnar_attack_report` equals the full
   in-RAM :class:`~repro.attacks.evaluation.AttackEvaluator` pipeline;
 * generation and the persistent COUNT both resume safely after an
@@ -30,7 +30,6 @@ from repro.attacks.interning import (
 )
 from repro.attacks.persistent import load_chunk_stats, persist_columnar_stats
 from repro.attacks.sharded import columnar_attack_report, sharded_count
-from repro.common import accel
 from repro.common.errors import ConfigurationError
 from repro.datasets.columnar import (
     ColumnarTrace,
@@ -45,13 +44,10 @@ from repro.datasets.model import Backup, BackupSeries
 from repro.defenses.pipeline import DefensePipeline, DefenseScheme
 
 
-@pytest.fixture(params=["accelerated", "fallback"])
-def count_mode(request, monkeypatch):
-    """Run every differential under both accel modes."""
-    if request.param == "fallback":
-        monkeypatch.setattr(accel, "numpy", None)
-    elif accel.numpy is None:
-        pytest.skip("numpy unavailable; accelerated path cannot run")
+# The sharded COUNT has one implementation; the one-value parameter keeps
+# these tests' ids the same as when it also had a pure-Python variant.
+@pytest.fixture(params=["accelerated"])
+def count_mode(request):
     return request.param
 
 

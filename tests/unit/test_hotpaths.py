@@ -2,9 +2,9 @@
 
 Every optimized loop must be byte-identical to its reference oracle:
 
-* chunker ``cut_points`` (vectorized and pure-Python skip-ahead) vs
-  ``cut_points_reference`` — random / all-zero / repeated data, forced
-  ``max_size`` cuts, inputs shorter than ``min_size``;
+* chunker ``cut_points`` vs ``cut_points_reference`` — random / all-zero
+  / repeated data, forced ``max_size`` cuts, inputs shorter than
+  ``min_size`` — and both against literal known-answer cut lists;
 * interned COUNT (array-backed and Counter-backed) vs
   ``count_with_neighbors`` vs ``StreamingCount`` on the same streams,
   including table iteration order (the tie-break-sensitive part);
@@ -25,8 +25,6 @@ from repro.attacks.interning import (
 )
 from repro.attacks.streaming import StreamingCount
 from repro.chunking import ChunkerSpec, GearChunker, RabinChunker
-from repro.chunking import fastscan
-from repro.common import accel
 from repro.common.errors import ConfigurationError
 from repro.datasets.model import Backup
 
@@ -37,23 +35,16 @@ def chunker_pairs():
     return [RabinChunker(SPEC), GearChunker(SPEC)]
 
 
-@pytest.fixture(params=["accelerated", "fallback"])
-def scan_mode(request, monkeypatch):
-    """Run chunker equivalence under both scan implementations."""
-    if request.param == "fallback":
-        monkeypatch.setattr(fastscan, "numpy", None)
-    elif fastscan.numpy is None:
-        pytest.skip("numpy unavailable; accelerated path cannot run")
+# The chunker scan and the array COUNT each have one implementation; the
+# one-value parameter keeps these tests' ids the same as when each also
+# had a pure-Python variant.
+@pytest.fixture(params=["accelerated"])
+def scan_mode(request):
     return request.param
 
 
-@pytest.fixture(params=["accelerated", "fallback"])
-def count_mode(request, monkeypatch):
-    """Run COUNT equivalence under both ingest implementations."""
-    if request.param == "fallback":
-        monkeypatch.setattr(accel, "numpy", None)
-    elif accel.numpy is None:
-        pytest.skip("numpy unavailable; accelerated path cannot run")
+@pytest.fixture(params=["accelerated"])
+def count_mode(request):
     return request.param
 
 
@@ -130,6 +121,64 @@ class TestChunkerFastpathEquivalence:
         assert sorted(set(cuts)) == cuts
 
 
+KNOWN_ANSWER_DATA = random.Random(20170626).randbytes(96 * 1024)
+
+
+class TestChunkerKnownAnswers:
+    """Literal cut lists on one seeded buffer, so a change that moved the
+    fast path and the reference together would still fail."""
+
+    @pytest.mark.parametrize(
+        "chunker, length, expected",
+        [
+            pytest.param(
+                RabinChunker(),
+                96 * 1024,
+                [2630, 7553, 12972, 15730, 27532, 38753, 53842, 57303,
+                 65758, 73485, 81048, 97899, 98304],
+                id="rabin-default",
+            ),
+            pytest.param(
+                GearChunker(),
+                96 * 1024,
+                [3766, 23149, 29255, 36037, 55167, 62209, 64687, 73976,
+                 78651, 86848, 90596, 93304, 95404, 98304],
+                id="gear-default",
+            ),
+            pytest.param(
+                RabinChunker(ChunkerSpec(16, 16, 16)),
+                100,
+                [16, 32, 48, 64, 80, 96, 100],
+                id="rabin-16-16-16",
+            ),
+            pytest.param(
+                GearChunker(ChunkerSpec(16, 16, 16)),
+                100,
+                [16, 32, 48, 64, 80, 96, 100],
+                id="gear-16-16-16",
+            ),
+            pytest.param(
+                RabinChunker(ChunkerSpec(1, 256, 300)),
+                2000,
+                [160, 203, 503, 803, 1103, 1314, 1316, 1616, 1763, 1982,
+                 2000],
+                id="rabin-1-256-300",
+            ),
+            pytest.param(
+                GearChunker(ChunkerSpec(1, 256, 300)),
+                2000,
+                [251, 463, 763, 768, 1044, 1265, 1400, 1618, 1683, 1713,
+                 1881, 1991, 2000],
+                id="gear-1-256-300",
+            ),
+        ],
+    )
+    def test_cut_points(self, chunker, length, expected):
+        data = KNOWN_ANSWER_DATA[:length]
+        assert chunker.cut_points(data) == expected
+        assert chunker.cut_points_reference(data) == expected
+
+
 def token_streams():
     tokens = [bytes([value]) * 8 for value in range(12)]
     return st.lists(st.sampled_from(tokens), min_size=0, max_size=300)
@@ -193,20 +242,6 @@ class TestCountEquivalence:
         for fingerprint in reference.right:
             assert stats.right.get(fingerprint) == reference.right[fingerprint]
 
-    def test_streaming_count_fallback_mode(self, count_mode):
-        rng = random.Random(6)
-        tokens = [rng.randbytes(8) for _ in range(30)]
-        fingerprints = [rng.choice(tokens) for _ in range(1_500)]
-        sizes = [128] * len(fingerprints)
-        backup = Backup(label="sf", fingerprints=fingerprints, sizes=sizes)
-        reference = count_with_neighbors(backup)
-        counter = StreamingCount(batch_size=64)
-        counter.ingest_backup(backup)
-        stats = counter.finalize()
-        assert stats.frequencies == reference.frequencies
-        for fingerprint in reference.left:
-            assert stats.left.get(fingerprint) == reference.left[fingerprint]
-
     def test_counter_batch_alignment_is_invisible(self, count_mode):
         rng = random.Random(7)
         tokens = [rng.randbytes(8) for _ in range(20)]
@@ -259,6 +294,19 @@ class TestChunkVocabulary:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):
             InternedCount().ingest([b"a"], [])
+
+    def test_sort_ranks_follow_bytes_order(self):
+        # Trailing NULs and mixed lengths are where a numpy ``S`` array
+        # would rank differently from Python bytes.
+        vocabulary = ChunkVocabulary()
+        fingerprints = [b"ab\x00", b"ab", b"a\x00", b"b", b"ab\x00\x00"]
+        vocabulary.intern_stream(fingerprints)
+        ranks = vocabulary.sort_ranks()
+        assert sorted(
+            fingerprints, key=lambda fp: ranks[vocabulary.id_of(fp)]
+        ) == sorted(fingerprints)
+        vocabulary.intern(b"")
+        assert vocabulary.sort_ranks()[vocabulary.id_of(b"")] == 0
 
 
 class TestBatchedUniqueIngest:
